@@ -10,7 +10,8 @@ quantifying how much of the firing-rate budget the encoder choice controls.
 from __future__ import annotations
 
 from repro.core.config import ExperimentConfig
-from repro.core.encoding_ablation import run_encoding_ablation
+from repro.core.grid import run_grid
+from repro.core.presets import format_encoding_ablation
 
 from .conftest import run_once
 
@@ -21,16 +22,16 @@ def test_encoding_ablation(benchmark, repro_scale, results_store):
     base_config = ExperimentConfig(scale=repro_scale)
 
     def run():
-        return run_encoding_ablation(encoders=BENCH_ENCODERS, base_config=base_config)
+        return run_grid(base_config, {"encoder": BENCH_ENCODERS})
 
     result = run_once(benchmark, run)
 
     print()
     print(f"[encoding ablation] repro scale: {repro_scale.name}")
-    print(result.format())
+    print(format_encoding_ablation(result))
 
     metrics = {}
-    for encoder, record in result.records.items():
+    for (encoder,), record in result.records.items():
         metrics[f"{encoder}_accuracy"] = record.accuracy
         metrics[f"{encoder}_firing_rate"] = record.hardware.firing_rate
         metrics[f"{encoder}_fps_per_watt"] = record.hardware.fps_per_watt

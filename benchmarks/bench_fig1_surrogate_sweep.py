@@ -17,8 +17,12 @@ Paper observations this bench checks (shape, not absolute values):
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.config import ExperimentConfig
-from repro.core.surrogate_sweep import format_figure1, run_surrogate_sweep
+from repro.core.grid import run_grid
+from repro.core.presets import PAPER_SURROGATES, by_surrogate, efficiency_advantage, format_figure1
+from repro.hardware.prior_work import PRIOR_WORK_REFERENCE
 
 from .conftest import run_once
 
@@ -32,7 +36,7 @@ def test_figure1_surrogate_scale_sweep(benchmark, repro_scale, results_store):
     base_config = ExperimentConfig(scale=repro_scale)
 
     def run():
-        return run_surrogate_sweep(scales=BENCH_SCALES, base_config=base_config)
+        return run_grid(base_config, {"surrogate": PAPER_SURROGATES, "surrogate_scale": BENCH_SCALES})
 
     result = run_once(benchmark, run)
 
@@ -40,26 +44,31 @@ def test_figure1_surrogate_scale_sweep(benchmark, repro_scale, results_store):
     print(f"[figure1] repro scale: {repro_scale.name}")
     print(format_figure1(result))
 
+    accuracy = by_surrogate(result, "accuracy")
+    firing_rate = by_surrogate(result, "firing_rate")
+    fps_per_watt = by_surrogate(result, "fps_per_watt")
+    advantage = efficiency_advantage(result)
+
     # Record headline numbers for EXPERIMENTS.md.
     results_store.add(
         "figure1",
         f"scale={repro_scale.name}",
         {
-            "fast_sigmoid_mean_firing_rate": result.mean_firing_rate("fast_sigmoid"),
-            "arctan_mean_firing_rate": result.mean_firing_rate("arctan"),
-            "fast_sigmoid_mean_fps_per_watt": result.mean_efficiency("fast_sigmoid"),
-            "arctan_mean_fps_per_watt": result.mean_efficiency("arctan"),
-            "efficiency_advantage_fast_vs_arctan": result.efficiency_advantage(),
-            "fast_sigmoid_best_accuracy": result.best_accuracy("fast_sigmoid"),
-            "arctan_best_accuracy": result.best_accuracy("arctan"),
-            "prior_work_accuracy_line": result.prior_work_accuracy,
+            "fast_sigmoid_mean_firing_rate": float(np.mean(firing_rate["fast_sigmoid"])),
+            "arctan_mean_firing_rate": float(np.mean(firing_rate["arctan"])),
+            "fast_sigmoid_mean_fps_per_watt": float(np.mean(fps_per_watt["fast_sigmoid"])),
+            "arctan_mean_fps_per_watt": float(np.mean(fps_per_watt["arctan"])),
+            "efficiency_advantage_fast_vs_arctan": advantage,
+            "fast_sigmoid_best_accuracy": max(accuracy["fast_sigmoid"]),
+            "arctan_best_accuracy": max(accuracy["arctan"]),
+            "prior_work_accuracy_line": PRIOR_WORK_REFERENCE.accuracy,
         },
     )
 
     # Shape checks mirroring the paper's qualitative claims.
-    assert result.mean_firing_rate("fast_sigmoid") > 0
-    assert result.efficiency_advantage() > 0
+    assert np.mean(firing_rate["fast_sigmoid"]) > 0
+    assert advantage > 0
     for surrogate in ("arctan", "fast_sigmoid"):
-        accuracies = result.accuracy_series(surrogate)
+        accuracies = accuracy[surrogate]
         # Accuracy at the largest scale should not beat the best swept point.
         assert accuracies[-1] <= max(accuracies) + 1e-9

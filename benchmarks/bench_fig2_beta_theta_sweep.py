@@ -9,8 +9,9 @@ latency for a 2.88% accuracy loss versus the best-accuracy configuration.
 
 from __future__ import annotations
 
-from repro.core.beta_theta_sweep import format_figure2, run_beta_theta_sweep
 from repro.core.config import ExperimentConfig
+from repro.core.grid import run_grid
+from repro.core.presets import accuracy_loss, best_accuracy_cell, format_figure2, latency_reduction, tradeoff_cell
 
 from .conftest import run_once
 
@@ -25,12 +26,11 @@ PAPER_ACCURACY_BUDGET = 0.05
 
 
 def test_figure2_beta_theta_cross_sweep(benchmark, repro_scale, results_store):
-    base_config = ExperimentConfig(
-        surrogate="fast_sigmoid", surrogate_scale=0.25, scale=repro_scale
-    )
+    # The default config is the paper's Figure 2 surrogate: fast sigmoid at slope 0.25.
+    base_config = ExperimentConfig(scale=repro_scale)
 
     def run():
-        return run_beta_theta_sweep(betas=BENCH_BETAS, thetas=BENCH_THETAS, base_config=base_config)
+        return run_grid(base_config, {"beta": BENCH_BETAS, "threshold": BENCH_THETAS})
 
     result = run_once(benchmark, run)
 
@@ -38,8 +38,8 @@ def test_figure2_beta_theta_cross_sweep(benchmark, repro_scale, results_store):
     print(f"[figure2] repro scale: {repro_scale.name}")
     print(format_figure2(result, max_accuracy_loss=PAPER_ACCURACY_BUDGET))
 
-    optimal = result.optimal_tradeoff_config(max_accuracy_loss=PAPER_ACCURACY_BUDGET)
-    best_acc = result.best_accuracy_config()
+    optimal = tradeoff_cell(result, max_accuracy_loss=PAPER_ACCURACY_BUDGET)
+    best_acc = best_accuracy_cell(result)
     default_cell = (0.25, 1.0)
     metrics = {
         "best_accuracy_beta": best_acc[0],
@@ -47,18 +47,18 @@ def test_figure2_beta_theta_cross_sweep(benchmark, repro_scale, results_store):
         "best_accuracy": result.records[best_acc].accuracy,
         "selected_beta": optimal[0],
         "selected_theta": optimal[1],
-        "latency_reduction_vs_best_accuracy": result.latency_reduction(optimal),
-        "accuracy_loss_vs_best_accuracy": result.accuracy_loss(optimal),
+        "latency_reduction_vs_best_accuracy": latency_reduction(result, optimal),
+        "accuracy_loss_vs_best_accuracy": accuracy_loss(result, optimal),
     }
     if default_cell in result.records:
-        metrics["latency_reduction_vs_default"] = result.latency_reduction_vs(optimal, default_cell)
+        metrics["latency_reduction_vs_default"] = latency_reduction(result, optimal, default_cell)
         metrics["selected_accuracy"] = result.records[optimal].accuracy
         metrics["default_accuracy"] = result.records[default_cell].accuracy
     results_store.add("figure2", f"scale={repro_scale.name}", metrics)
 
     # Shape checks: the selected point must actually trade accuracy for latency.
-    assert result.latency_reduction(optimal) >= 0.0
-    assert result.accuracy_loss(optimal) <= PAPER_ACCURACY_BUDGET + 1e-9
+    assert latency_reduction(result, optimal) >= 0.0
+    assert accuracy_loss(result, optimal) <= PAPER_ACCURACY_BUDGET + 1e-9
     # Latency must respond to the hyperparameters somewhere on the grid.
     latencies = result.grid("latency_ms")
     assert latencies.max() > latencies.min()

@@ -8,17 +8,19 @@ model is mapped onto the sparsity-aware accelerator and onto a dense
 (sparsity-oblivious) configuration of the same platform.
 
 The adaptive-threshold Pareto benchmark extends the ablation along the
-neuron-substrate axis: :func:`repro.core.run_adaptive_threshold_sweep`
-trains the same network on the :class:`~repro.neurons.AdaptiveLIF`
+neuron-substrate axis: :func:`repro.core.run_grid` over adaptation step x
+beta trains the same network on the :class:`~repro.neurons.AdaptiveLIF`
 substrate (adaptation step 0 = the exact LIF baseline) and records how the
-measured firing-rate shift moves the sparsity/cost Pareto points.
+measured firing-rate shift moves the accuracy/FPS-W Pareto front.
 """
 
 from __future__ import annotations
 
-from repro.core.adaptive_sweep import format_adaptive_sweep, run_adaptive_threshold_sweep
+from repro.analysis.pareto import dominates
 from repro.core.config import ExperimentConfig
 from repro.core.experiment import run_experiment
+from repro.core.grid import run_grid
+from repro.core.presets import ADAPTIVE_OBJECTIVES, firing_rate_shift, format_adaptive_sweep
 from repro.hardware import DenseBaselineAccelerator, SparsityAwareAccelerator, evaluate_on_hardware, format_comparison
 
 from .conftest import run_once
@@ -67,19 +69,19 @@ def test_adaptive_threshold_pareto(benchmark, repro_scale, bench_smoke, results_
     """Adaptation strength must move the measured firing rate off the LIF baseline.
 
     Runs the adaptive sweep's strongest cell against its step-0 (exact LIF)
-    baseline column and records the resulting Pareto points.  The assertion
-    is non-directional on purpose — which way the rate moves depends on how
-    training redistributes activity at a given scale — but a measurable
-    shift must exist, otherwise the substrate adds no new Pareto points.
+    baseline row and records the cells on the accuracy/FPS-W Pareto front.
+    The shift assertion is non-directional on purpose — which way the rate
+    moves depends on how training redistributes activity at a given scale —
+    but a measurable shift must exist, otherwise the substrate adds no new
+    Pareto points.
     """
     steps = (0.0, 0.5) if bench_smoke else (0.0, 0.2, 0.5)
     betas = (0.25,) if bench_smoke else (0.25, 0.5)
 
     def run():
-        return run_adaptive_threshold_sweep(
-            adaptation_steps=steps,
-            betas=betas,
-            base_config=ExperimentConfig(scale=repro_scale),
+        return run_grid(
+            ExperimentConfig(scale=repro_scale, neuron="adaptive"),
+            {"adaptation_step": steps, "beta": betas},
         )
 
     result = run_once(benchmark, run)
@@ -88,22 +90,32 @@ def test_adaptive_threshold_pareto(benchmark, repro_scale, bench_smoke, results_
     print(f"[adaptive threshold pareto] repro scale: {repro_scale.name}")
     print(format_adaptive_sweep(result))
 
+    shift_grid = firing_rate_shift(result)
     shifts = {
-        f"step={step:g},beta={beta:g}": result.firing_rate_shift(step, beta)
-        for step in result.steps
-        for beta in result.betas
+        f"step={step:g},beta={beta:g}": float(shift_grid[i, j])
+        for i, step in enumerate(steps)
+        for j, beta in enumerate(betas)
         if step > 0.0
     }
+    front = result.pareto_front(ADAPTIVE_OBJECTIVES)
     results_store.add(
         "adaptive_threshold_pareto",
         f"scale={repro_scale.name}",
         {
-            "adaptation_steps": list(result.steps),
-            "betas": list(result.betas),
+            "adaptation_steps": list(steps),
+            "betas": list(betas),
             "firing_rate_shifts": shifts,
-            "pareto_points": result.pareto_rows(),
+            "pareto_points": front,
         },
     )
+
+    # Every recorded Pareto point must be non-dominated among all cells.
+    def objectives(row):
+        return [row[m] if d == "max" else -row[m] for m, d in ADAPTIVE_OBJECTIVES.items()]
+
+    for point in front:
+        dominating = [row for row in result.rows() if dominates(objectives(row), objectives(point))]
+        assert not dominating, f"recorded Pareto point {point} is dominated by {dominating}"
 
     # The strongest adaptation cell must land measurably away from the LIF
     # baseline (>2% relative firing-rate change) for at least one beta.

@@ -27,8 +27,8 @@ import numpy as np
 
 from .conftest import RESULTS_DIR, run_once
 from repro.analysis.io import save_json
-from repro.core.beta_theta_sweep import run_beta_theta_sweep
 from repro.core.config import ExperimentConfig, SCALE_PRESETS
+from repro.core.grid import run_grid
 from repro.core.experiment import make_dataset, make_encoder, make_loss, make_model
 from repro.exec import ExperimentCache
 from repro.neurons.lif import LIF
@@ -60,21 +60,21 @@ def test_sweep_parallel_and_cache(benchmark, bench_smoke, repro_scale, results_s
         betas, thetas = FULL_GRID
         scale = repro_scale
     base = ExperimentConfig(surrogate="fast_sigmoid", surrogate_scale=0.25, scale=scale)
-    grid = dict(betas=betas, thetas=thetas, base_config=base)
+    axes = {"beta": betas, "threshold": thetas}
     cells = len(betas) * len(thetas)
     cache = ExperimentCache(tmp_path / "sweep-cache")
 
     def run():
         t0 = time.perf_counter()
-        serial = run_beta_theta_sweep(workers=1, **grid)
+        serial = run_grid(base, axes, workers=1)
         serial_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        parallel = run_beta_theta_sweep(workers=PARALLEL_WORKERS, cache=cache, **grid)
+        parallel = run_grid(base, axes, workers=PARALLEL_WORKERS, cache=cache)
         parallel_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        warm = run_beta_theta_sweep(workers=PARALLEL_WORKERS, cache=cache, **grid)
+        warm = run_grid(base, axes, workers=PARALLEL_WORKERS, cache=cache)
         warm_s = time.perf_counter() - t0
         return serial, parallel, warm, serial_s, parallel_s, warm_s
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.analysis import pareto_front, save_csv
-from repro.core import run_beta_theta_sweep
-from repro.core.beta_theta_sweep import format_figure2
+from repro.analysis import save_csv
+from repro.core import ExperimentConfig, format_figure2, resolve_scale, run_grid
 
 
 def main() -> None:
@@ -49,15 +48,15 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    scale_preset = os.environ.get("REPRO_SCALE", "bench")
+    # The default config is the paper's Figure 2 surrogate: fast sigmoid at slope 0.25.
+    base_config = ExperimentConfig(scale=resolve_scale(os.environ.get("REPRO_SCALE")))
     print(
-        f"running the Figure 2 cross-sweep at scale '{scale_preset}' "
+        f"running the Figure 2 cross-sweep at scale '{base_config.scale.name}' "
         f"over beta={args.betas}, theta={args.thetas}"
     )
-    result = run_beta_theta_sweep(
-        betas=args.betas,
-        thetas=args.thetas,
-        scale_preset=scale_preset,
+    result = run_grid(
+        base_config,
+        {"beta": args.betas, "threshold": args.thetas},
         workers=args.workers,
         cache=args.cache,
     )
@@ -65,14 +64,12 @@ def main() -> None:
     print()
     print(format_figure2(result, max_accuracy_loss=args.budget))
 
-    # Accuracy/latency Pareto front over the grid (latency negated: lower is better).
-    records = list(result.records.items())
-    front = pareto_front(records, objectives=lambda kv: (kv[1].accuracy, -kv[1].hardware.latency_ms))
+    front = result.pareto_front({"accuracy": "max", "latency_ms": "min"})
     print("\nPareto-optimal (accuracy, latency) configurations:")
-    for (beta, theta), record in front:
+    for row in front:
         print(
-            f"  beta={beta:g}, theta={theta:g}: accuracy {record.accuracy:.2%}, "
-            f"latency {record.hardware.latency_ms:.4f} ms, {record.hardware.fps_per_watt:.0f} FPS/W"
+            f"  beta={row['beta']:g}, theta={row['threshold']:g}: accuracy {row['accuracy']:.2%}, "
+            f"latency {row['latency_ms']:.4f} ms, {row['fps_per_watt']:.0f} FPS/W"
         )
 
     if args.output_csv:

@@ -21,8 +21,8 @@ import argparse
 import os
 
 from repro.analysis import save_csv
-from repro.core import run_surrogate_sweep
-from repro.core.surrogate_sweep import format_figure1
+from repro.core import ExperimentConfig, format_figure1, resolve_scale, run_grid
+from repro.core.presets import PAPER_SURROGATES
 
 
 def main() -> None:
@@ -41,9 +41,9 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    scale_preset = os.environ.get("REPRO_SCALE", "bench")
-    print(f"running the Figure 1 sweep at scale '{scale_preset}' over factors {args.scales}")
-    result = run_surrogate_sweep(scales=args.scales, scale_preset=scale_preset)
+    base_config = ExperimentConfig(scale=resolve_scale(os.environ.get("REPRO_SCALE")))
+    print(f"running the Figure 1 sweep at scale '{base_config.scale.name}' over factors {args.scales}")
+    result = run_grid(base_config, {"surrogate": PAPER_SURROGATES, "surrogate_scale": args.scales})
 
     print()
     print(format_figure1(result))

@@ -24,8 +24,8 @@ with the paper's methodology on top:
 * :mod:`repro.hardware` — behavioural model of the sparsity-aware FPGA
   accelerator (latency, resources, power, FPS/W) plus baselines.
 * :mod:`repro.core` — the paper's experiments: the 32C3-MP2-32C3-MP2-256-10
-  network, the surrogate-scale sweep (Fig. 1), the beta × theta cross-sweep
-  (Fig. 2) and the prior-work comparison.
+  network, one grid sweep (``run_grid``) with the surrogate-scale (Fig. 1)
+  and beta × theta (Fig. 2) presets, and the prior-work comparison.
 * :mod:`repro.analysis` — sparsity profiling, Pareto fronts, tables, plots.
 
 Quickstart

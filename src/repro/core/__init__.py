@@ -6,11 +6,11 @@ This package ties the substrates together into the paper's methodology:
 2. train it under a specific hyperparameter configuration
    (:mod:`repro.core.experiment`),
 3. profile its firing behaviour and evaluate it on the hardware model, and
-4. sweep the hyperparameters the paper studies —
-   surrogate function / derivative scale (:mod:`repro.core.surrogate_sweep`,
-   Figure 1), beta x theta (:mod:`repro.core.beta_theta_sweep`, Figure 2),
-   adaptation strength x beta over the adaptive-threshold substrate
-   (:mod:`repro.core.adaptive_sweep`) —
+4. sweep any grid of hyperparameters with one function,
+   :func:`~repro.core.grid.run_grid` (:mod:`repro.core.grid`), whose
+   presets (:mod:`repro.core.presets`) reproduce the paper's figures —
+   surrogate function / derivative scale (Figure 1), beta x theta
+   (Figure 2) — plus the adaptive-threshold and encoding extensions,
    and compare against prior work (:mod:`repro.core.comparison`).
 """
 
@@ -22,15 +22,14 @@ from repro.core.experiment import (
     evaluate_trained_model,
     run_experiment,
 )
-from repro.core.surrogate_sweep import SurrogateSweepResult, run_surrogate_sweep, format_figure1
-from repro.core.beta_theta_sweep import BetaThetaSweepResult, run_beta_theta_sweep, format_figure2
-from repro.core.adaptive_sweep import (
-    AdaptiveSweepResult,
+from repro.core.grid import GridResult, run_grid
+from repro.core.presets import (
     format_adaptive_sweep,
-    run_adaptive_threshold_sweep,
+    format_encoding_ablation,
+    format_figure1,
+    format_figure2,
 )
 from repro.core.comparison import PriorWorkComparison, run_prior_work_comparison, format_comparison_table
-from repro.core.encoding_ablation import EncodingAblationResult, run_encoding_ablation
 from repro.core.results import ResultStore
 
 __all__ = [
@@ -44,20 +43,15 @@ __all__ = [
     "ExperimentRecord",
     "run_experiment",
     "evaluate_trained_model",
-    "SurrogateSweepResult",
-    "run_surrogate_sweep",
+    "GridResult",
+    "run_grid",
     "format_figure1",
-    "BetaThetaSweepResult",
-    "run_beta_theta_sweep",
     "format_figure2",
-    "AdaptiveSweepResult",
-    "run_adaptive_threshold_sweep",
     "format_adaptive_sweep",
+    "format_encoding_ablation",
     "RuntimeFallbackWarning",
     "PriorWorkComparison",
     "run_prior_work_comparison",
     "format_comparison_table",
-    "EncodingAblationResult",
-    "run_encoding_ablation",
     "ResultStore",
 ]

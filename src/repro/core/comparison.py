@@ -13,11 +13,11 @@ Two claims anchor the comparison against Ye et al. [6]:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.analysis.tables import format_table
 from repro.core.config import ExperimentConfig, PAPER_COMPARISON_POINT, PAPER_DEFAULT, resolve_scale
-from repro.core.experiment import ExperimentRecord, build_workload
+from repro.core.experiment import ExperimentRecord
 from repro.hardware.accelerator import SparsityAwareAccelerator
 from repro.hardware.efficiency import HardwareReport, evaluate_on_hardware
 from repro.hardware.prior_work import PriorWorkAccelerator
@@ -84,66 +84,37 @@ def run_prior_work_comparison(
     tuned_config = (tuned_config or PAPER_COMPARISON_POINT).with_overrides(scale=repro_scale)
     default_config = (default_config or PAPER_DEFAULT).with_overrides(scale=repro_scale)
 
-    paper_platform = SparsityAwareAccelerator()
-    prior_platform = PriorWorkAccelerator()
-
     tuned, default = run_experiments(
         [tuned_config, default_config],
         workers=workers,
         cache=cache,
-        accelerator=paper_platform,
+        accelerator=SparsityAwareAccelerator(),
         verbose=verbose,
     )
 
     # Same default model, mapped onto the prior-work accelerator.
-    default_workload = build_workload_from_record(default)
-    prior_hardware = evaluate_on_hardware(default_workload, prior_platform, default.accuracy)
+    prior_hardware = evaluate_on_hardware(default.hardware.run.workload, PriorWorkAccelerator(), default.accuracy)
 
     return PriorWorkComparison(tuned=tuned, default=default, prior_hardware=prior_hardware)
 
 
-def build_workload_from_record(record: ExperimentRecord):
-    """Rebuild the hardware workload captured inside an experiment record."""
-    if record.hardware.run is None:
-        raise ValueError("experiment record does not carry a hardware run")
-    return record.hardware.run.workload
-
-
 def format_comparison_table(comparison: PriorWorkComparison) -> str:
     """Render the comparison as the table the paper's Section III-B describes."""
+    prior, default, tuned = comparison.prior_hardware, comparison.default, comparison.tuned
+
+    def row(name, accuracy, report, vs_prior):
+        metrics = ("firing_rate", "latency_ms", "fps", "power_w", "fps_per_watt")
+        return [name, accuracy, *(getattr(report, metric) for metric in metrics), vs_prior]
+
     rows = [
-        [
-            "prior work [6] (dense accel.)",
-            comparison.prior_hardware.accuracy,
-            comparison.prior_hardware.firing_rate,
-            comparison.prior_hardware.latency_ms,
-            comparison.prior_hardware.fps,
-            comparison.prior_hardware.power_w,
-            comparison.prior_hardware.fps_per_watt,
-            1.0,
-        ],
-        [
+        row("prior work [6] (dense accel.)", prior.accuracy, prior, 1.0),
+        row(
             "default (beta=0.25, theta=1.0)",
-            comparison.default.accuracy,
-            comparison.default.hardware.firing_rate,
-            comparison.default.hardware.latency_ms,
-            comparison.default.hardware.fps,
-            comparison.default.hardware.power_w,
-            comparison.default.hardware.fps_per_watt,
-            comparison.default.hardware.fps_per_watt / comparison.prior_hardware.fps_per_watt
-            if comparison.prior_hardware.fps_per_watt
-            else float("nan"),
-        ],
-        [
-            "fine-tuned (beta=0.7, theta=1.5)",
-            comparison.tuned.accuracy,
-            comparison.tuned.hardware.firing_rate,
-            comparison.tuned.hardware.latency_ms,
-            comparison.tuned.hardware.fps,
-            comparison.tuned.hardware.power_w,
-            comparison.tuned.hardware.fps_per_watt,
-            comparison.efficiency_gain,
-        ],
+            default.accuracy,
+            default.hardware,
+            default.hardware.fps_per_watt / prior.fps_per_watt if prior.fps_per_watt else float("nan"),
+        ),
+        row("fine-tuned (beta=0.7, theta=1.5)", tuned.accuracy, tuned.hardware, comparison.efficiency_gain),
     ]
     headers = ["configuration", "accuracy", "firing_rate", "latency_ms", "FPS", "power_W", "FPS/W", "vs prior"]
     table = format_table(headers, rows, title="Prior-work comparison (reproduced)")

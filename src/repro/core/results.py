@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.analysis.io import load_json, save_json
 
@@ -27,12 +27,13 @@ class StoredResult:
     label:
         Configuration label within the experiment.
     metrics:
-        Flat metric dictionary (accuracy, latency, FPS/W, ...).
+        Metric dictionary (accuracy, latency, FPS/W, ...): numbers, plus
+        JSON lists/dicts for structured results such as Pareto fronts.
     """
 
     experiment: str
     label: str
-    metrics: Dict[str, float]
+    metrics: Dict[str, Any]
 
 
 class ResultStore:
@@ -54,12 +55,20 @@ class ResultStore:
     def __len__(self) -> int:
         return len(self._results)
 
-    def add(self, experiment: str, label: str, metrics: Dict[str, float]) -> StoredResult:
-        """Add one result row and persist the store."""
+    def add(self, experiment: str, label: str, metrics: Dict[str, Any]) -> StoredResult:
+        """Add one result row and persist the store.
+
+        Numbers are stored as floats and lists/dicts as-is; other values
+        (labels and other strings) are dropped.
+        """
         result = StoredResult(
             experiment=experiment,
             label=label,
-            metrics={k: float(v) for k, v in metrics.items() if isinstance(v, (int, float))},
+            metrics={
+                k: float(v) if isinstance(v, (int, float)) else v
+                for k, v in metrics.items()
+                if isinstance(v, (int, float, list, dict))
+            },
         )
         self._results.append(result)
         self.save()

@@ -22,8 +22,9 @@ one cell at a time.  This subpackage provides:
   resolved configuration plus code-relevant versions, so re-running or
   extending a sweep only trains the new cells.
 
-All four sweep front-ends in :mod:`repro.core` route through this executor
-and expose its ``workers=`` / ``cache=`` knobs.
+Both sweep entry points in :mod:`repro.core` — :func:`~repro.core.grid.run_grid`
+and :func:`~repro.core.comparison.run_prior_work_comparison` — route through
+this executor and expose its ``workers=`` / ``cache=`` knobs.
 """
 
 from repro.exec.cache import (

@@ -121,7 +121,7 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 
 def resolve_cache(cache: CacheSpec) -> Optional[ExperimentCache]:
-    """Normalise the ``cache=`` argument accepted by every sweep front-end.
+    """Normalise the ``cache=`` argument accepted by every sweep entry point.
 
     ``None``/``False`` disable caching, ``True`` uses the default cache
     location, a path opens a cache rooted there, and an

@@ -188,3 +188,10 @@ class TestResultStore:
         store = ResultStore(tmp_path / "r.json")
         result = store.add("exp", "lbl", {"x": 1.0, "label": "text"})
         assert "label" not in result.metrics
+
+    def test_structured_metrics_persist(self, tmp_path):
+        store = ResultStore(tmp_path / "r.json")
+        front = [{"beta": 0.25, "accuracy": 0.5}]
+        store.add("exp", "lbl", {"pareto_points": front, "shifts": {"step=0.5": -0.1}})
+        found = ResultStore(tmp_path / "r.json").find("exp", "lbl")
+        assert found.metrics == {"pareto_points": front, "shifts": {"step=0.5": -0.1}}

@@ -222,48 +222,52 @@ class TestProgressAndWorkers:
         assert "Traceback" in errors[0].error
 
 
-class TestSweepFrontEnds:
-    """The four sweep entry points route through the executor."""
+class TestRunGrid:
+    """The grid sweep routes every cell through the executor."""
 
-    def test_beta_theta_sweep_parallel_equals_serial(self, micro_scale):
-        from repro.core.beta_theta_sweep import run_beta_theta_sweep
+    def test_beta_theta_grid_parallel_equals_serial(self, micro_scale):
+        from repro.core.grid import run_grid
 
         base = ExperimentConfig(scale=micro_scale, surrogate="fast_sigmoid", surrogate_scale=0.25)
-        grid = dict(betas=(0.25, 0.5), thetas=(1.0,), base_config=base)
-        serial = run_beta_theta_sweep(workers=1, **grid)
-        parallel = run_beta_theta_sweep(workers=2, **grid)
+        axes = {"beta": (0.25, 0.5), "threshold": (1.0,)}
+        serial = run_grid(base, axes, workers=1)
+        parallel = run_grid(base, axes, workers=2)
         assert set(serial.records) == set(parallel.records)
         for cell in serial.records:
             _assert_records_identical(serial.records[cell], parallel.records[cell])
 
-    def test_surrogate_sweep_groups_records_correctly(self, micro_scale, tmp_path):
-        from repro.core.surrogate_sweep import run_surrogate_sweep
+    def test_surrogate_grid_keys_records_correctly(self, micro_scale, tmp_path):
+        from repro.core.grid import run_grid
 
         base = ExperimentConfig(scale=micro_scale)
-        result = run_surrogate_sweep(
-            scales=(0.5, 2.0), surrogates=("arctan", "fast_sigmoid"),
-            base_config=base, cache=ExperimentCache(tmp_path),
+        result = run_grid(
+            base,
+            {"surrogate": ("arctan", "fast_sigmoid"), "surrogate_scale": (0.5, 2.0)},
+            cache=ExperimentCache(tmp_path),
         )
-        assert list(result.records) == ["arctan", "fast_sigmoid"]
-        for surrogate, records in result.records.items():
-            assert [r.config.surrogate for r in records] == [surrogate] * 2
-            assert [r.config.surrogate_scale for r in records] == [0.5, 2.0]
+        assert list(result.records) == [
+            ("arctan", 0.5), ("arctan", 2.0), ("fast_sigmoid", 0.5), ("fast_sigmoid", 2.0)
+        ]
+        for (surrogate, scale), record in result.records.items():
+            assert (record.config.surrogate, record.config.surrogate_scale) == (surrogate, scale)
 
-    def test_encoding_ablation_routes_through_executor(self, micro_scale, tmp_path, monkeypatch):
-        from repro.core.encoding_ablation import run_encoding_ablation
+    def test_warm_cache_trains_zero_cells(self, micro_scale, tmp_path, monkeypatch):
+        from repro.core.grid import run_grid
 
         base = ExperimentConfig(scale=micro_scale)
+        axes = {"encoder": ("direct", "rate")}
         cache = ExperimentCache(tmp_path)
-        first = run_encoding_ablation(encoders=("direct", "rate"), base_config=base, cache=cache)
-        assert list(first.records) == ["direct", "rate"]
+        first = run_grid(base, axes, cache=cache)
+        assert list(first.records) == [("direct",), ("rate",)]
 
         def _no_training(*args, **kwargs):
             raise AssertionError("should be served from cache")
 
         monkeypatch.setattr(executor_mod, "run_experiment", _no_training)
-        again = run_encoding_ablation(encoders=("direct", "rate"), base_config=base, cache=cache)
-        for name in ("direct", "rate"):
-            _assert_records_identical(first.records[name], again.records[name])
+        again = run_grid(base, axes, cache=cache)
+        assert (cache.stores, cache.hits) == (2, 2)
+        for cell in first.records:
+            _assert_records_identical(first.records[cell], again.records[cell])
 
 
 class TestFailureTransport:
