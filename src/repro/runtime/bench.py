@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -85,13 +85,19 @@ def make_spike_sequence(
     return (rng.random((num_steps,) + tuple(shape)) < density).astype(np.float32)
 
 
-def _time_best(fn, repeats: int) -> float:
-    best = float("inf")
+def _time_best_pair(first, second, repeats: int) -> Tuple[float, float]:
+    """Best wall time of each function over ``repeats`` alternating runs.
+
+    The two paths take turns, so a burst of load from other processes
+    slows both of them rather than only whichever path was being timed.
+    """
+    best = [float("inf"), float("inf")]
     for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        for index, fn in enumerate((first, second)):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 def measure_speedup(
@@ -152,8 +158,7 @@ def measure_speedup(
     runtime_counts = runtime_forward().counts
     equivalent = bool(np.array_equal(dense_counts, runtime_counts))
 
-    dense_seconds = _time_best(dense_forward, repeats)
-    runtime_seconds = _time_best(runtime_forward, repeats)
+    dense_seconds, runtime_seconds = _time_best_pair(dense_forward, runtime_forward, repeats)
 
     for module, flag in stats_flags.values():
         module.set_record_statistics(flag)

@@ -65,12 +65,6 @@ important) and an optional ``deadline_ms`` latency budget:
   :class:`RequestTimedOut` at the cutoff (batch cut or batch start,
   whichever notices first), counted per lane in telemetry.
 
-Capacity is live-adjustable: :meth:`InferenceServer.resize` retargets the
-worker count and ``max_batch`` between batches — queued work is never
-dropped, in-flight batches finish untouched — which is the actuator the
-closed-loop autoscaler (:mod:`repro.serve.autoscaler`) drives against
-telemetry.
-
 Failure isolation and supervision
 ---------------------------------
 A batch whose inference raises resolves *only that batch's* futures with
@@ -201,7 +195,6 @@ class InferenceServer:
     workers:
         Concurrent batch executors.  Each worker checks out its own
         compiled plan, so ``workers`` bounds the plans ever compiled.
-        Live-adjustable through :meth:`resize`.
     deadline_margin_ms:
         Safety margin for deadline-aware batch cutoffs: a batch is
         dispatched as soon as any waiting request is within this many
@@ -310,7 +303,7 @@ class InferenceServer:
         self._dispatch_done = False
         self._dispatcher: Optional[threading.Thread] = None
         # Worker threads are owned directly (not via a ThreadPoolExecutor)
-        # so resize() can grow and shrink the pool while serving.
+        # so the supervisor can replace a dead one while serving.
         self._worker_threads: List[threading.Thread] = []
         self._live_workers = 0
         self._worker_serial = 0
@@ -344,42 +337,6 @@ class InferenceServer:
             )
             self._worker_threads.append(thread)
             thread.start()
-
-    def resize(self, workers: Optional[int] = None, max_batch: Optional[int] = None) -> bool:
-        """Retarget serving capacity live; returns whether anything changed.
-
-        ``max_batch`` takes effect at the next batch cut; ``workers`` grows
-        by starting threads immediately and shrinks by letting surplus
-        threads retire after the batch they are running (in-flight batches
-        always finish; queued work is never dropped).  The compiled-plan
-        pool's idle retention is resized in lockstep so the pool neither
-        hoards plans after a scale-down nor recompiles on every batch after
-        a scale-up.  This is the autoscaler's actuator, but it is safe to
-        call from anywhere, including on a server that has not started.
-        """
-        changed = False
-        with self._cv:
-            if max_batch is not None:
-                max_batch = int(max_batch)
-                if max_batch < 1:
-                    raise ValueError(f"max_batch must be at least 1, got {max_batch}")
-                if max_batch != self.max_batch:
-                    self.max_batch = max_batch
-                    changed = True
-            if workers is not None:
-                workers = int(workers)
-                if workers < 1:
-                    raise ValueError(f"workers must be at least 1, got {workers}")
-                if workers != self.workers:
-                    self.workers = workers
-                    changed = True
-                    if self._dispatcher is not None and not self._closed:
-                        self._spawn_workers_locked()
-            if changed:
-                self._cv.notify_all()
-        if changed:
-            self.pool.resize(self.workers)
-        return changed
 
     def stop(self, drain: bool = True) -> None:
         """Shut down; by default finishes all queued work first.
@@ -440,19 +397,6 @@ class InferenceServer:
         """
         with self._cv:
             return self._live_workers
-
-    @property
-    def oldest_queue_age_ms(self) -> float:
-        """Age (ms) of the oldest waiting request — 0.0 when the queue is empty.
-
-        This is the autoscaler's primary load signal: it rises as soon as
-        arrivals outpace service and falls back to ~0 the moment the queue
-        drains, with none of the lag a latency-percentile window has.
-        """
-        with self._cv:
-            if not self._queue:
-                return 0.0
-            return (time.perf_counter() - self._queue[0].queued) * 1000.0
 
     # ------------------------------------------------------------------ #
     # Submission
@@ -791,11 +735,6 @@ class InferenceServer:
         while True:
             with self._cv:
                 while True:
-                    if self._live_workers > self.workers:
-                        # Scale-down: surplus workers retire between batches.
-                        self._live_workers -= 1
-                        self._cv.notify_all()
-                        return
                     if self._ready:
                         batch_index, batch = self._ready.popleft()
                         break

@@ -12,17 +12,15 @@ side with the accelerator model's *predicted* fps for the same traffic
 Counter state lives in :mod:`repro.obs.metrics` instruments: every
 telemetry instance owns a private
 :class:`~repro.obs.metrics.MetricsRegistry` (labelled with the model name
-when one is given), and the ``total_*`` attributes of old are now
-read-only views over those instruments.  The gateway attaches each model's
-registry to the process-wide default registry, which is what
-``python -m repro.obs serve`` scrapes — the public recording API and the
-:func:`format_telemetry` output are unchanged.
+when one is given), and :meth:`ServeTelemetry.summary` reads those
+instruments directly.  The gateway attaches each model's registry to the
+process-wide default registry, which is what ``python -m repro.obs serve``
+scrapes.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
@@ -31,10 +29,6 @@ import numpy as np
 
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, Counter, LATENCY_BUCKETS_MS, MetricsRegistry
 from repro.runtime.activity import RuntimeActivity
-
-#: How many most-recent scale events :class:`ServeTelemetry` retains in full
-#: detail (the up/down totals are unbounded counters).
-SCALE_EVENT_HISTORY = 256
 
 #: Numeric encoding of breaker state for the ``repro_serve_breaker_state``
 #: gauge (Prometheus gauges are floats; the string state stays on the
@@ -87,10 +81,7 @@ class ServeTelemetry:
     queue (tracking the queue-depth high-water mark) and :meth:`record_shed`
     when admission control rejects one — so overload behaviour is visible
     in the same summary as latency and throughput.  Both are tracked per
-    priority *lane* (:meth:`lane_counters`), and the autoscaler reports its
-    capacity changes through :meth:`record_scale_event`, so a telemetry
-    snapshot tells the whole closed-loop story: load, admission, shedding
-    order, and how capacity tracked all three.
+    priority *lane* (:meth:`lane_counters`).
     """
 
     def __init__(self, window: int = 4096, model: str = "") -> None:
@@ -152,12 +143,11 @@ class ServeTelemetry:
             buckets=BATCH_SIZE_BUCKETS,
             help="Micro-batch size distribution.",
         )
-        # Per-lane and per-direction counters materialise on first use
-        # (labelled instruments in the same registry).
+        # Per-lane counters materialise on first use (labelled instruments
+        # in the same registry).
         self._admitted_by_lane: Dict[int, Counter] = {}
         self._shed_by_lane: Dict[int, Counter] = {}
         self._timed_out_by_lane: Dict[int, Counter] = {}
-        self._scale_by_direction: Dict[str, Counter] = {}
 
         #: Current circuit-breaker state for the served model
         #: (``closed``/``open``/``half_open``); stays ``closed`` when no
@@ -172,87 +162,8 @@ class ServeTelemetry:
         #: Weight bits for quantized serving (``None`` = full precision).
         self.weight_bits: Optional[int] = None
         self.activity: Optional[RuntimeActivity] = None
-        self._scale_events: Deque[Dict[str, Any]] = deque(maxlen=SCALE_EVENT_HISTORY)
         self._first_submit: Optional[float] = None
         self._last_done: Optional[float] = None
-
-    # -- instrument views (the old plain-int counter attributes) --------- #
-    @property
-    def total_requests(self) -> int:
-        """Requests completed successfully."""
-        return int(self._c_requests.value)
-
-    @property
-    def total_batches(self) -> int:
-        """Micro-batches executed."""
-        return int(self._c_batches.value)
-
-    @property
-    def total_admitted(self) -> int:
-        """Requests admitted to the queue (all lanes)."""
-        return sum(int(c.value) for c in self._admitted_by_lane.values())
-
-    @property
-    def total_shed(self) -> int:
-        """Requests rejected or evicted by admission control (all lanes)."""
-        return sum(int(c.value) for c in self._shed_by_lane.values())
-
-    @property
-    def total_deadline_dispatches(self) -> int:
-        """Batches dispatched early to protect a request deadline."""
-        return int(self._c_deadline.value)
-
-    @property
-    def total_scale_ups(self) -> int:
-        """Autoscaler capacity increases."""
-        counter = self._scale_by_direction.get("up")
-        return int(counter.value) if counter is not None else 0
-
-    @property
-    def total_scale_downs(self) -> int:
-        """Autoscaler capacity decreases."""
-        counter = self._scale_by_direction.get("down")
-        return int(counter.value) if counter is not None else 0
-
-    @property
-    def total_failed(self) -> int:
-        """Requests whose batch failed."""
-        return int(self._c_failed.value)
-
-    @property
-    def total_timed_out(self) -> int:
-        """Requests that missed their deadline (all lanes)."""
-        return sum(int(c.value) for c in self._timed_out_by_lane.values())
-
-    @property
-    def total_worker_deaths(self) -> int:
-        """Worker threads lost to escaped exceptions (and respawned)."""
-        return int(self._c_worker_deaths.value)
-
-    @property
-    def total_reload_failures(self) -> int:
-        """Hot reloads that failed (old weights kept serving)."""
-        return int(self._c_reload_failures.value)
-
-    @property
-    def total_breaker_opens(self) -> int:
-        """Circuit-breaker transitions into ``open``."""
-        return int(self._c_breaker_opens.value)
-
-    @property
-    def total_breaker_closes(self) -> int:
-        """Circuit-breaker recoveries back to ``closed``."""
-        return int(self._c_breaker_closes.value)
-
-    @property
-    def total_breaker_rejections(self) -> int:
-        """Submits rejected fail-fast by an open breaker."""
-        return int(self._c_breaker_rejections.value)
-
-    @property
-    def queue_depth_high_water(self) -> int:
-        """Deepest queue observed at admission."""
-        return int(self._g_queue_high_water.value)
 
     def _lane_counter(self, table: Dict[int, Counter], name: str, help_text: str, lane: int) -> Counter:
         counter = table.get(lane)
@@ -348,45 +259,6 @@ class ServeTelemetry:
         """Count one submit rejected fail-fast by an open circuit breaker."""
         self._c_breaker_rejections.inc()
 
-    def record_scale_event(
-        self,
-        direction: str,
-        workers: int,
-        max_batch: int,
-        reason: str = "",
-    ) -> None:
-        """Log one autoscaler capacity change (``direction`` is ``up``/``down``).
-
-        The most recent :data:`SCALE_EVENT_HISTORY` events are kept in full
-        (new capacity, reason, monotonic timestamp) via :meth:`scale_events`;
-        the up/down totals surfaced in :meth:`summary` are unbounded.
-        """
-        with self._lock:
-            key = "up" if direction == "up" else "down"
-            counter = self._scale_by_direction.get(key)
-            if counter is None:
-                counter = self.metrics.counter(
-                    "repro_serve_scale_events_total",
-                    help="Autoscaler capacity changes.",
-                    labels={"direction": key},
-                )
-                self._scale_by_direction[key] = counter
-            counter.inc()
-            self._scale_events.append(
-                {
-                    "time": time.monotonic(),
-                    "direction": direction,
-                    "workers": int(workers),
-                    "max_batch": int(max_batch),
-                    "reason": reason,
-                }
-            )
-
-    def scale_events(self) -> List[Dict[str, Any]]:
-        """The retained scale-event log, oldest first (bounded, see above)."""
-        with self._lock:
-            return list(self._scale_events)
-
     def lane_counters(self) -> Dict[str, Dict[int, int]]:
         """Per-lane counts: ``{"admitted": {...}, "shed": {...}, "timed_out": {...}}``."""
         with self._lock:
@@ -443,29 +315,20 @@ class ServeTelemetry:
                 self._last_done = done
 
     # ------------------------------------------------------------------ #
-    def latency_percentiles(self, last: Optional[int] = None) -> Dict[str, float]:
-        """p50/p95/p99 latency (ms) over the current window (NaN when empty).
-
-        ``last`` restricts the computation to the most recent ``last``
-        requests of the window — the autoscaler uses this to judge *current*
-        latency without old pre-scale requests dragging the percentiles.
-        """
+    def latency_percentiles(self) -> Dict[str, float]:
+        """p50/p95/p99 latency (ms) over the current window (NaN when empty)."""
         with self._lock:
             stats = list(self._stats)
-        if last is not None:
-            stats = stats[-int(last):]
         if not stats:
             return {"p50_ms": float("nan"), "p95_ms": float("nan"), "p99_ms": float("nan")}
         latencies = np.asarray([stat.latency_ms for stat in stats])
         p50, p95, p99 = np.percentile(latencies, [50.0, 95.0, 99.0])
         return {"p50_ms": float(p50), "p95_ms": float(p95), "p99_ms": float(p99)}
 
-    def queue_percentiles(self, last: Optional[int] = None) -> Dict[str, float]:
+    def queue_percentiles(self) -> Dict[str, float]:
         """p50/p95 queueing delay (ms) over the window (NaN when empty)."""
         with self._lock:
             stats = list(self._stats)
-        if last is not None:
-            stats = stats[-int(last):]
         if not stats:
             return {"queue_p50_ms": float("nan"), "queue_p95_ms": float("nan")}
         queue_ms = np.asarray([stat.queue_ms for stat in stats])
@@ -482,13 +345,6 @@ class ServeTelemetry:
             if elapsed <= 0:
                 return float("inf")
             return total / elapsed
-
-    def mean_batch_size(self) -> float:
-        """Average micro-batch size over the window (0 when nothing served)."""
-        with self._lock:
-            if not self._stats:
-                return 0.0
-            return float(np.mean([stat.batch_size for stat in self._stats]))
 
     def mean_input_density(self) -> float:
         """Average encoded-input density over the window (measured, per request)."""
@@ -512,38 +368,42 @@ class ServeTelemetry:
         The lane split collapses priorities into two headline numbers:
         ``*_high`` counts lanes with priority > 0, ``*_low`` the rest —
         the full per-lane breakdown stays available via
-        :meth:`lane_counters`.
+        :meth:`lane_counters`.  ``mean_batch_size`` is requests per executed
+        micro-batch over the telemetry's lifetime.
         """
+
+        def lanes(table: Dict[int, Counter], keep=lambda lane: True) -> float:
+            return float(sum(c.value for lane, c in table.items() if keep(lane)))
+
+        achieved_fps = self.achieved_fps()
+        mean_input_density = self.mean_input_density()
         with self._lock:
-            shed_high = sum(int(c.value) for lane, c in self._shed_by_lane.items() if lane > 0)
-            shed_low = sum(int(c.value) for lane, c in self._shed_by_lane.items() if lane <= 0)
-            admitted_high = sum(int(c.value) for lane, c in self._admitted_by_lane.items() if lane > 0)
-        out: Dict[str, float] = {
-            "requests": float(self.total_requests),
-            "batches": float(self.total_batches),
-            "admitted": float(self.total_admitted),
-            "admitted_high": float(admitted_high),
-            "shed": float(self.total_shed),
-            "shed_high": float(shed_high),
-            "shed_low": float(shed_low),
-            "queue_high_water": float(self.queue_depth_high_water),
-            "deadline_dispatches": float(self.total_deadline_dispatches),
-            "failed": float(self.total_failed),
-            "timed_out": float(self.total_timed_out),
-            "worker_deaths": float(self.total_worker_deaths),
-            "reload_failures": float(self.total_reload_failures),
-            "breaker_opens": float(self.total_breaker_opens),
-            "breaker_closes": float(self.total_breaker_closes),
-            "breaker_rejections": float(self.total_breaker_rejections),
-            "scale_ups": float(self.total_scale_ups),
-            "scale_downs": float(self.total_scale_downs),
-            # 0.0 = full-precision float serving; the precision *name* is
-            # on the telemetry object itself (summary values stay floats).
-            "weight_bits": float(self.weight_bits or 0),
-            "achieved_fps": self.achieved_fps(),
-            "mean_batch_size": self.mean_batch_size(),
-            "mean_input_density": self.mean_input_density(),
-        }
+            requests = self._c_requests.value
+            batches = self._c_batches.value
+            out: Dict[str, float] = {
+                "requests": float(requests),
+                "batches": float(batches),
+                "admitted": lanes(self._admitted_by_lane),
+                "admitted_high": lanes(self._admitted_by_lane, lambda lane: lane > 0),
+                "shed": lanes(self._shed_by_lane),
+                "shed_high": lanes(self._shed_by_lane, lambda lane: lane > 0),
+                "shed_low": lanes(self._shed_by_lane, lambda lane: lane <= 0),
+                "queue_high_water": float(self._g_queue_high_water.value),
+                "deadline_dispatches": float(self._c_deadline.value),
+                "failed": float(self._c_failed.value),
+                "timed_out": lanes(self._timed_out_by_lane),
+                "worker_deaths": float(self._c_worker_deaths.value),
+                "reload_failures": float(self._c_reload_failures.value),
+                "breaker_opens": float(self._c_breaker_opens.value),
+                "breaker_closes": float(self._c_breaker_closes.value),
+                "breaker_rejections": float(self._c_breaker_rejections.value),
+                # 0.0 = full-precision float serving; the precision *name* is
+                # on the telemetry object itself (summary values stay floats).
+                "weight_bits": float(self.weight_bits or 0),
+                "achieved_fps": achieved_fps,
+                "mean_batch_size": float(requests / batches) if batches else 0.0,
+                "mean_input_density": mean_input_density,
+            }
         out.update(self.latency_percentiles())
         return out
 
@@ -624,10 +484,6 @@ def format_telemetry(
             f"{summary.get('breaker_rejections', 0):.0f}",
         ),
         ("queue high-water", f"{summary.get('queue_high_water', 0):.0f}"),
-        (
-            "scale up/down",
-            f"{summary.get('scale_ups', 0):.0f}/{summary.get('scale_downs', 0):.0f}",
-        ),
         ("mean batch size", f"{summary.get('mean_batch_size', 0):.2f}"),
         ("achieved fps", f"{summary.get('achieved_fps', 0):.1f}"),
         ("latency p50", f"{summary.get('p50_ms', float('nan')):.3f} ms"),

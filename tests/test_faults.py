@@ -202,7 +202,7 @@ class TestCircuitBreaker:
         assert breaker.state == "closed"
         breaker.record_failure()
         assert breaker.state == "open"
-        assert telemetry.total_breaker_opens == 1
+        assert telemetry.summary()["breaker_opens"] == 1
         assert telemetry.breaker_state == "open"
 
     def test_open_rejects_until_backoff_then_probes(self):
@@ -210,14 +210,14 @@ class TestCircuitBreaker:
         breaker.record_failure()
         breaker.record_failure()
         assert not breaker.allow()
-        assert telemetry.total_breaker_rejections == 1
+        assert telemetry.summary()["breaker_rejections"] == 1
         clock.now = 1.0  # backoff_initial_s elapsed
         assert breaker.allow()  # the single half-open probe
         assert breaker.state == "half_open"
         assert not breaker.allow()  # second caller still rejected
         breaker.record_success()
         assert breaker.state == "closed"
-        assert telemetry.total_breaker_closes == 1
+        assert telemetry.summary()["breaker_closes"] == 1
         assert breaker.allow()
 
     def test_failed_probe_reopens_with_grown_backoff(self):
@@ -261,8 +261,8 @@ class TestSchedulerSupervision:
         np.testing.assert_array_equal(
             served, _reference_counts(micro_config, model, images[:8], 4)
         )
-        assert telemetry.total_worker_deaths == 1
-        assert telemetry.total_failed == 0  # the requeued batch served clean
+        assert telemetry.summary()["worker_deaths"] == 1
+        assert telemetry.summary()["failed"] == 0  # the requeued batch served clean
         assert faults.injected_counts["worker_deaths"] == 1
         assert "InjectedWorkerDeath" in telemetry.last_error
 
@@ -283,8 +283,8 @@ class TestSchedulerSupervision:
             np.testing.assert_array_equal(futures[i].result(timeout=30).counts, reference[i])
         telemetry = server.telemetry
         server.stop()
-        assert telemetry.total_failed == 4
-        assert telemetry.total_worker_deaths == 0
+        assert telemetry.summary()["failed"] == 4
+        assert telemetry.summary()["worker_deaths"] == 0
         assert "InjectedKernelFault" in telemetry.last_error
 
     def test_real_backend_exception_isolated_mid_batch(self, micro_config, untrained, monkeypatch):
@@ -313,7 +313,7 @@ class TestSchedulerSupervision:
             np.testing.assert_array_equal(futures[i].result(timeout=30).counts, reference[i])
         telemetry = server.telemetry
         server.stop()
-        assert telemetry.total_failed == 4
+        assert telemetry.summary()["failed"] == 4
         assert telemetry.summary()["failed"] == 4.0
         assert "backend exploded" in telemetry.last_error
 
@@ -329,7 +329,7 @@ class TestSchedulerSupervision:
         assert healthy.result(timeout=30).counts.shape
         telemetry = server.telemetry
         server.stop()
-        assert telemetry.total_timed_out == 1
+        assert telemetry.summary()["timed_out"] == 1
         assert telemetry.lane_counters()["timed_out"] == {1: 1}
         assert telemetry.summary()["timed_out"] == 1.0
 
@@ -389,9 +389,9 @@ class TestSchedulerSupervision:
         telemetry = server.telemetry
         server.stop()
         assert served + failed == len(futures)
-        assert telemetry.total_failed == failed
+        assert telemetry.summary()["failed"] == failed
         counts = faults.injected_counts
-        assert telemetry.total_worker_deaths == counts["worker_deaths"]
+        assert telemetry.summary()["worker_deaths"] == counts["worker_deaths"]
 
 
 # --------------------------------------------------------------------- #
@@ -425,7 +425,7 @@ class TestGatewayDegradedReload:
             np.testing.assert_array_equal(post, reference[3:6])  # old weights live
 
             telemetry = gateway.telemetry("m")
-            assert telemetry.total_reload_failures == 1
+            assert telemetry.summary()["reload_failures"] == 1
             assert "CheckpointIntegrityError" in gateway.last_errors()["m"]
             summary = gateway.summary()
             assert summary["totals"]["reload_failures"] == 1.0
@@ -452,7 +452,7 @@ class TestGatewayDegradedReload:
             for image in images[1:4]:
                 gateway.submit("m", image).result(timeout=30)
             # One failure event for one bad publish, however many submits.
-            assert gateway.telemetry("m").total_reload_failures == 1
+            assert gateway.telemetry("m").summary()["reload_failures"] == 1
 
 
 # --------------------------------------------------------------------- #

@@ -78,8 +78,8 @@ class TestGatewayRouting:
             served_a = _serve_each(gateway, "model-a", images[:4])
             served_b = _serve_each(gateway, "model-b", images[:4])
             assert gateway.active_models() == ["model-a", "model-b"]
-            assert gateway.telemetry("model-a").total_requests == 4
-            assert gateway.telemetry("model-b").total_requests == 4
+            assert gateway.telemetry("model-a").summary()["requests"] == 4
+            assert gateway.telemetry("model-b").summary()["requests"] == 4
             summary = gateway.summary()
 
         np.testing.assert_array_equal(
@@ -185,7 +185,7 @@ class TestGatewayHotReload:
             assert gateway.version("m") == 2
             # Telemetry survives the server replacement: counters carry the
             # pre-reload request too, they never go backwards.
-            assert gateway.telemetry("m").total_requests == 4
+            assert gateway.telemetry("m").summary()["requests"] == 4
             assert gateway.telemetry("m") is server_before.telemetry
 
     def test_republish_without_encoder_keeps_serving(self, tmp_path, micro_config, images):
@@ -245,7 +245,7 @@ class TestGatewayHotReload:
             # Telemetry carried across the replacement; activity restarted
             # in the new timestep regime.
             telemetry = gateway.telemetry("m")
-            assert telemetry.total_requests == 2
+            assert telemetry.summary()["requests"] == 2
             assert telemetry.activity.num_steps == steps_v2
 
     def test_refresh_reports_reload(self, tmp_path, micro_config, images):

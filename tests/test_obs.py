@@ -21,7 +21,6 @@ from repro.obs import (
     Tracer,
     default_tracer,
     log_breaker_transition,
-    log_scale_event,
     profile_plan,
     serve_logger,
 )
@@ -399,15 +398,6 @@ class TestStructuredLogging:
         log_breaker_transition("m", "half_open", "closed")
         (record,) = captured_serve_log.records
         assert record.levelno == logging.INFO
-
-    def test_scale_event_payload(self, captured_serve_log):
-        log_scale_event("m", "up", workers=2, max_batch=16, reason="queue hot")
-        (record,) = captured_serve_log.records
-        event = record.event
-        assert event["kind"] == "scale_event"
-        assert event["direction"] == "up"
-        assert event["workers"] == 2
-        assert event["max_batch"] == 16
 
 
 # --------------------------------------------------------------------- #

@@ -44,6 +44,11 @@ def untrained(micro_config):
     return model, encoder, images
 
 
+@pytest.fixture
+def served(untrained):
+    return untrained
+
+
 class TestModelRegistry:
     def test_save_load_round_trip_with_meta(self, tmp_path, micro_config, untrained):
         model, encoder, _ = untrained
@@ -186,8 +191,8 @@ class TestAdmissionControl:
         futures = server.submit_many(images[:3])  # fills the queue (not started)
         with pytest.raises(ServerOverloaded, match="queue full"):
             server.submit(images[3])
-        assert server.telemetry.total_shed == 1
-        assert server.telemetry.total_admitted == 3
+        assert server.telemetry.summary()["shed"] == 1
+        assert server.telemetry.summary()["admitted"] == 3
         server.start()
         for future in futures:
             future.result(timeout=30)
@@ -211,8 +216,9 @@ class TestAdmissionControl:
                     pass
             for future in outcomes:
                 future.result(timeout=30)
-        assert server.telemetry.queue_depth_high_water <= cap
-        assert server.telemetry.total_admitted == len(outcomes)
+        summary = server.telemetry.summary()
+        assert summary["queue_high_water"] <= cap
+        assert summary["admitted"] == len(outcomes)
 
     def test_backpressure_blocks_and_admits_fifo(self, untrained):
         model, encoder, images = untrained
@@ -247,9 +253,10 @@ class TestAdmissionControl:
 
         # Blocked submitters were admitted in arrival order, after the head.
         assert [r.sequence for r in results] == [cap, cap + 1, cap + 2]
-        assert server.telemetry.queue_depth_high_water <= cap
-        assert server.telemetry.total_shed == 0
-        assert server.telemetry.total_admitted == cap + 3
+        summary = server.telemetry.summary()
+        assert summary["queue_high_water"] <= cap
+        assert summary["shed"] == 0
+        assert summary["admitted"] == cap + 3
 
     def test_blocked_submitter_released_by_stop(self, untrained):
         model, encoder, images = untrained
@@ -371,14 +378,106 @@ class TestInferenceServer:
             future.result(timeout=30)
         server.stop()
         telemetry = server.telemetry
-        assert telemetry.total_requests == 8
-        assert telemetry.total_batches == 2
-        assert telemetry.activity is not None and telemetry.activity.samples == 8
         summary = telemetry.summary()
+        assert summary["requests"] == 8
+        assert summary["batches"] == 2
+        assert summary["mean_batch_size"] == 4
+        assert telemetry.activity is not None and telemetry.activity.samples == 8
         assert summary["p50_ms"] > 0
         assert summary["achieved_fps"] > 0
         assert 0 < summary["mean_input_density"] <= 1.0
         assert telemetry.measured_firing_rates()  # at least one spiking layer keyed
+
+
+class TestSloAwareScheduling:
+    def test_deadline_cuts_the_batch_early(self, served):
+        model, encoder, images = served
+        # Alone, a request would wait out the full 10s max_wait window; its
+        # 80ms deadline budget (minus the 5ms margin) must cut the batch.
+        server = InferenceServer(
+            model, encoder, max_batch=64, max_wait_ms=10_000.0, deadline_margin_ms=5.0
+        )
+        with server:
+            start = time.perf_counter()
+            result = server.submit(images[0], deadline_ms=80.0).result(timeout=30)
+            elapsed_s = time.perf_counter() - start
+        assert elapsed_s < 5.0, "deadline cutoff never fired"
+        assert result.batch_size == 1
+        assert server.telemetry.summary()["deadline_dispatches"] >= 1
+
+    def test_deadline_must_be_positive(self, served):
+        model, encoder, images = served
+        server = InferenceServer(model, encoder)
+        with pytest.raises(ValueError):
+            server.submit(images[0], deadline_ms=0.0)
+
+    def test_high_priority_evicts_lowest_latest_victim(self, served):
+        model, encoder, images = served
+        server = InferenceServer(model, encoder, max_batch=4, max_queue=2, overload="shed")
+        first = server.submit(images[0])
+        second = server.submit(images[1])
+        with pytest.raises(ServerOverloaded):
+            server.submit(images[2])  # equal priority never evicts
+        third = server.submit(images[3], priority=1)
+        # The latest-arrival low-priority request is sacrificed first...
+        with pytest.raises(ServerOverloaded, match="evicted"):
+            second.result(timeout=5)
+        fourth = server.submit(images[4], priority=1)
+        # ...then the remaining one.
+        with pytest.raises(ServerOverloaded, match="evicted"):
+            first.result(timeout=5)
+        with pytest.raises(ServerOverloaded):
+            server.submit(images[5], priority=1)  # all lanes equal again
+
+        telemetry = server.telemetry
+        assert telemetry.lane_counters() == {
+            "admitted": {0: 2, 1: 2},
+            "shed": {0: 3, 1: 1},
+            "timed_out": {},
+        }
+        summary = telemetry.summary()
+        assert summary["admitted_high"] == 2
+        assert summary["shed_high"] == 1 and summary["shed_low"] == 3
+
+        server.start()
+        for future in (third, fourth):
+            assert future.result(timeout=30).priority == 1
+        server.stop()
+
+    def test_priority_never_reorders_dispatch(self, served):
+        """Priority is a shed lane, not a fast lane: FIFO order holds."""
+        model, encoder, images = served
+        server = InferenceServer(model, encoder, max_batch=2, max_wait_ms=50.0)
+        futures = [
+            server.submit(images[i % len(images)], priority=i % 3) for i in range(8)
+        ]
+        server.start()
+        sequences = [future.result(timeout=60).sequence for future in futures]
+        server.stop()
+        assert sequences == sorted(sequences)
+
+
+class TestFixedCapacity:
+    """Serving capacity is set at construction and never changes while serving."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_and_plans_stay_at_construction_size(self, untrained, workers):
+        model, encoder, images = untrained
+        server = InferenceServer(model, encoder, max_batch=2, max_wait_ms=1.0, workers=workers)
+        assert server.live_workers == 0  # nothing runs before start()
+        futures = server.submit_many(images * 2)
+        server.start()
+        observed = [server.live_workers]
+        for future in futures:
+            future.result(timeout=30)
+            observed.append(server.live_workers)
+        assert observed == [workers] * len(observed)
+        assert server.workers == workers
+        # One worker holds at most one plan, so the pool never compiles more
+        # plans than there are workers.
+        assert 1 <= server.pool.compiled_count <= workers
+        server.stop()
+        assert server.telemetry.summary()["requests"] == len(images) * 2
 
 
 class TestTelemetryMath:
@@ -408,7 +507,7 @@ class TestTelemetryMath:
         telemetry.record_batch([stat], b, first_submit=0.001, done=0.002)
         assert telemetry.activity.num_steps == 4
         assert telemetry.activity.layer_output_events == {"lif1": 8.0}
-        assert telemetry.total_requests == 2  # counters continue across the swap
+        assert telemetry.summary()["requests"] == 2  # counters continue across the swap
 
     def test_reset_activity_keeps_counters(self):
         telemetry = ServeTelemetry()
@@ -420,7 +519,7 @@ class TestTelemetryMath:
         telemetry.record_batch([stat], activity, first_submit=0.0, done=0.001)
         telemetry.reset_activity()
         assert telemetry.activity is None
-        assert telemetry.total_requests == 1
+        assert telemetry.summary()["requests"] == 1
         assert telemetry.latency_percentiles()["p50_ms"] == pytest.approx(1.0)
 
     def test_empty_telemetry_is_nan_and_zero(self):
@@ -436,9 +535,9 @@ class TestTelemetryMath:
         assert summary["requests"] == 0 and summary["admitted"] == 0
         assert np.isnan(summary["p50_ms"]) and np.isnan(summary["p99_ms"])
         assert summary["shed_low"] == 0 and summary["shed_high"] == 0
-        assert summary["scale_ups"] == 0 and summary["scale_downs"] == 0
+        assert summary["mean_batch_size"] == 0
         text = format_telemetry(summary)
-        assert "requests" in text and "scale up/down" in text
+        assert "requests" in text and "queue high-water" in text
         assert np.isnan(telemetry.queue_percentiles()["queue_p95_ms"])
         assert telemetry.lane_counters() == {"admitted": {}, "shed": {}, "timed_out": {}}
 
@@ -455,30 +554,69 @@ class TestTelemetryMath:
         assert "shed (low/high)" in format_telemetry(summary)
         assert telemetry.lane_counters()["shed"] == {0: 3, 1: 1}
 
-    def test_windowed_percentiles_restrict_to_recent_requests(self):
-        telemetry = ServeTelemetry(window=100)
-        stats = [
-            RequestStat(latency_ms=float(i), queue_ms=float(i) / 2, batch_size=1, input_density=0.5)
-            for i in range(1, 101)
-        ]
-        telemetry.record_batch(stats, None, first_submit=0.0, done=1.0)
-        recent = telemetry.latency_percentiles(last=10)
-        assert recent["p50_ms"] == pytest.approx(95.5)  # over 91..100 only
-        assert telemetry.queue_percentiles(last=10)["queue_p50_ms"] == pytest.approx(95.5 / 2)
-        # A `last` larger than the window degrades to the full window.
-        assert telemetry.latency_percentiles(last=1000) == telemetry.latency_percentiles()
-
-    def test_scale_event_history_is_bounded(self):
-        from repro.serve.telemetry import SCALE_EVENT_HISTORY
-
+    def test_mean_batch_size_is_per_batch_not_per_request(self):
+        """One batch of 8 and eight batches of 1 average 16/9 requests per batch."""
         telemetry = ServeTelemetry()
-        for i in range(SCALE_EVENT_HISTORY + 10):
-            telemetry.record_scale_event("up", workers=1, max_batch=8, reason=f"event {i}")
-        events = telemetry.scale_events()
-        assert len(events) == SCALE_EVENT_HISTORY
-        assert events[-1]["reason"] == f"event {SCALE_EVENT_HISTORY + 9}"
-        assert telemetry.total_scale_ups == SCALE_EVENT_HISTORY + 10
-        assert telemetry.summary()["scale_ups"] == SCALE_EVENT_HISTORY + 10
+
+        def batch(size):
+            stat = RequestStat(latency_ms=1.0, queue_ms=0.0, batch_size=size, input_density=0.5)
+            telemetry.record_batch([stat] * size, None, first_submit=0.0, done=0.001)
+
+        batch(8)
+        for _ in range(8):
+            batch(1)
+        summary = telemetry.summary()
+        assert summary["requests"] == 16 and summary["batches"] == 9
+        assert summary["mean_batch_size"] == pytest.approx(16 / 9)
+
+    def test_format_telemetry_golden(self):
+        summary = {
+            "requests": 120.0,
+            "batches": 18.0,
+            "admitted": 130.0,
+            "admitted_high": 40.0,
+            "shed": 10.0,
+            "shed_high": 3.0,
+            "shed_low": 7.0,
+            "queue_high_water": 16.0,
+            "deadline_dispatches": 2.0,
+            "failed": 4.0,
+            "timed_out": 1.0,
+            "worker_deaths": 1.0,
+            "reload_failures": 0.0,
+            "breaker_opens": 2.0,
+            "breaker_closes": 1.0,
+            "breaker_rejections": 5.0,
+            "weight_bits": 8.0,
+            "achieved_fps": 345.678,
+            "mean_batch_size": 120.0 / 18.0,
+            "mean_input_density": 0.123456,
+            "p50_ms": 1.23456,
+            "p95_ms": 4.5678,
+            "p99_ms": 9.87654,
+        }
+        expected = "\n".join(
+            [
+                "Golden",
+                "------",
+                "  precision              : int8 weights",
+                "  requests               : 120",
+                "  batches                : 18",
+                "  shed (low/high)        : 10 (7/3)",
+                "  failed / timed out     : 4 / 1",
+                "  worker deaths          : 1",
+                "  breaker open/close/rej : 2/1/5",
+                "  queue high-water       : 16",
+                "  mean batch size        : 6.67",
+                "  achieved fps           : 345.7",
+                "  latency p50            : 1.235 ms",
+                "  latency p95            : 4.568 ms",
+                "  latency p99            : 9.877 ms",
+                "  input density          : 12.35 %",
+                "  last error             : RuntimeError: boom",
+            ]
+        )
+        assert format_telemetry(summary, title="Golden", last_error="RuntimeError: boom") == expected
 
     def test_format_helpers_render(self, untrained):
         model, encoder, images = untrained
@@ -509,3 +647,135 @@ class TestTelemetryMath:
         )
         assert comparison["modeled_fps"] == 1000.0
         assert comparison["fps_ratio"] == pytest.approx(comparison["measured_fps"] / 1000.0)
+
+
+def _stats(count: int):
+    return [RequestStat(latency_ms=1.0, queue_ms=0.0, batch_size=count, input_density=0.5)] * count
+
+
+def _breaker_cycle(telemetry):
+    telemetry.record_breaker_transition("open")
+    telemetry.record_breaker_transition("half_open")
+    telemetry.record_breaker_transition("closed")
+
+
+# Each case drives a fresh telemetry through one kind of event and names the
+# summary keys it must move; every other counter-backed key must stay at 0.
+SUMMARY_CASES = {
+    "batch": (lambda t: t.record_batch(_stats(3), None, 0.0, 1.0), {"requests": 3, "batches": 1}),
+    "admit_low": (
+        lambda t: t.record_admission(queue_depth=5, priority=0),
+        {"admitted": 1, "queue_high_water": 5},
+    ),
+    "admit_high": (
+        lambda t: t.record_admission(queue_depth=2, priority=2),
+        {"admitted": 1, "admitted_high": 1, "queue_high_water": 2},
+    ),
+    "high_water_keeps_max": (
+        lambda t: [t.record_admission(queue_depth=d) for d in (7, 3)],
+        {"admitted": 2, "queue_high_water": 7},
+    ),
+    "shed_low": (lambda t: t.record_shed(priority=0), {"shed": 1, "shed_low": 1}),
+    "shed_high": (lambda t: t.record_shed(priority=1), {"shed": 1, "shed_high": 1}),
+    "deadline": (lambda t: t.record_deadline_dispatch(), {"deadline_dispatches": 1}),
+    "failure": (lambda t: t.record_failure("boom", count=4), {"failed": 4}),
+    "timeout": (lambda t: t.record_timeout(priority=1), {"timed_out": 1}),
+    "worker_death": (lambda t: t.record_worker_death("boom"), {"worker_deaths": 1}),
+    "reload_failure": (lambda t: t.record_reload_failure("boom"), {"reload_failures": 1}),
+    "breaker_open": (lambda t: t.record_breaker_transition("open"), {"breaker_opens": 1}),
+    "breaker_cycle": (_breaker_cycle, {"breaker_opens": 1, "breaker_closes": 1}),
+    "breaker_half_open_only": (lambda t: t.record_breaker_transition("half_open"), {}),
+    "breaker_closed_while_closed": (lambda t: t.record_breaker_transition("closed"), {}),
+    "breaker_rejection": (lambda t: t.record_breaker_rejection(), {"breaker_rejections": 1}),
+    "precision": (lambda t: t.set_precision("int8", weight_bits=8), {"weight_bits": 8}),
+}
+
+COUNTER_KEYS = (
+    "requests",
+    "batches",
+    "admitted",
+    "admitted_high",
+    "shed",
+    "shed_high",
+    "shed_low",
+    "queue_high_water",
+    "deadline_dispatches",
+    "failed",
+    "timed_out",
+    "worker_deaths",
+    "reload_failures",
+    "breaker_opens",
+    "breaker_closes",
+    "breaker_rejections",
+    "weight_bits",
+)
+
+# Summary keys that are one registry metric (summed over its lane labels).
+KEY_METRICS = {
+    "requests": "repro_serve_requests_total",
+    "batches": "repro_serve_batches_total",
+    "admitted": "repro_serve_admitted_total",
+    "shed": "repro_serve_shed_total",
+    "queue_high_water": "repro_serve_queue_depth_high_water",
+    "deadline_dispatches": "repro_serve_deadline_dispatches_total",
+    "failed": "repro_serve_failed_total",
+    "timed_out": "repro_serve_timed_out_total",
+    "worker_deaths": "repro_serve_worker_deaths_total",
+    "reload_failures": "repro_serve_reload_failures_total",
+    "breaker_opens": "repro_serve_breaker_opens_total",
+    "breaker_closes": "repro_serve_breaker_closes_total",
+    "breaker_rejections": "repro_serve_breaker_rejections_total",
+    "weight_bits": "repro_serve_weight_bits",
+}
+
+
+def _metric_value(snapshot, name: str) -> float:
+    return float(sum(sample["value"] for sample in snapshot.get(name, [])))
+
+
+class TestSummaryReadsInstruments:
+    """``summary()`` is the one read path, and it agrees with the registry."""
+
+    @pytest.mark.parametrize("case", sorted(SUMMARY_CASES))
+    def test_event_moves_only_its_keys(self, case):
+        action, moved = SUMMARY_CASES[case]
+        telemetry = ServeTelemetry(model="wired")
+        action(telemetry)
+        summary = telemetry.summary()
+        expected = {key: float(moved.get(key, 0)) for key in COUNTER_KEYS}
+        assert {key: summary[key] for key in COUNTER_KEYS} == expected
+        snapshot = telemetry.metrics.snapshot()
+        for key, metric in KEY_METRICS.items():
+            assert _metric_value(snapshot, metric) == summary[key], key
+
+    @pytest.mark.parametrize(
+        "batch_sizes",
+        [[], [1], [4, 4], [8] + [1] * 8, [3, 5, 7], [16, 1]],
+        ids=["none", "single", "uniform", "one_big_many_small", "odd_sizes", "skewed"],
+    )
+    def test_mean_batch_size_matches_batch_histogram(self, batch_sizes):
+        telemetry = ServeTelemetry()
+        for size in batch_sizes:
+            telemetry.record_batch(_stats(size), None, 0.0, 1.0)
+        mean = telemetry.summary()["mean_batch_size"]
+        expected = sum(batch_sizes) / len(batch_sizes) if batch_sizes else 0.0
+        assert mean == pytest.approx(expected)
+        (histogram,) = telemetry.metrics.snapshot()["repro_serve_batch_size"]
+        assert histogram["count"] == len(batch_sizes)
+        if batch_sizes:
+            assert mean == pytest.approx(histogram["sum"] / histogram["count"])
+
+    @pytest.mark.parametrize("priority", [-1, 0, 1, 3])
+    def test_lane_split_counts_positive_priorities_as_high(self, priority):
+        telemetry = ServeTelemetry()
+        telemetry.record_admission(queue_depth=1, priority=priority)
+        telemetry.record_shed(priority=priority)
+        telemetry.record_timeout(priority=priority)
+        summary = telemetry.summary()
+        high = 1.0 if priority > 0 else 0.0
+        assert summary["admitted"] == 1 and summary["admitted_high"] == high
+        assert summary["shed"] == 1
+        assert (summary["shed_high"], summary["shed_low"]) == (high, 1.0 - high)
+        assert summary["timed_out"] == 1
+        lanes = telemetry.lane_counters()
+        assert lanes == {"admitted": {priority: 1}, "shed": {priority: 1}, "timed_out": {priority: 1}}
