@@ -17,6 +17,11 @@ Applying a Function via :meth:`Function.apply` unwraps tensor inputs to raw
 arrays, runs ``forward``, wraps the result in a new
 :class:`~repro.autograd.tensor.Tensor`, and records the graph edge when
 gradients are enabled.
+
+``apply`` also sets ``ctx.needs_input_grad`` (as in PyTorch): one bool per
+positional argument, True only for a tensor that requires grad or has a
+graph node while gradients are enabled.  ``backward`` may return ``None``
+for an input whose flag is False; the engine would drop that gradient.
 """
 
 from __future__ import annotations
@@ -82,22 +87,20 @@ class Function:
         """Run the op, wrap the result, and record the graph edge if needed."""
         from repro.autograd.tensor import Tensor, is_grad_enabled
 
+        grad_enabled = is_grad_enabled()
         ctx = Context()
         raw_args = []
         tensor_inputs = []
-        any_requires_grad = False
+        needs_input_grad = []
         for a in args:
-            if isinstance(a, Tensor):
-                raw_args.append(a.data)
-                tensor_inputs.append(a)
-                if a.requires_grad:
-                    any_requires_grad = True
-            else:
-                raw_args.append(a)
-                tensor_inputs.append(None)
+            is_tensor = isinstance(a, Tensor)
+            raw_args.append(a.data if is_tensor else a)
+            tensor_inputs.append(a if is_tensor else None)
+            needs_input_grad.append(grad_enabled and is_tensor and (a.requires_grad or a._node is not None))
+        ctx.needs_input_grad = tuple(needs_input_grad)
 
         out_data = cls.forward(ctx, *raw_args, **kwargs)
-        requires_grad = any_requires_grad and is_grad_enabled()
+        requires_grad = grad_enabled and any(t is not None and t.requires_grad for t in tensor_inputs)
         out = Tensor(out_data, requires_grad=requires_grad)
         if requires_grad:
             node = Node(cls, ctx, tensor_inputs)

@@ -19,20 +19,19 @@ from repro.autograd.function import Context, Function
 # Scratch buffers
 #
 # During a T-timestep pass every timestep runs its own Conv2d forward (and,
-# under BPTT, backward), and the large temporaries each call needs — the
-# padded input copy, the lowered im2col matrix, the GEMM output, and on the
-# backward side the gradient columns and the padded gradient accumulator —
-# have the same shape at every timestep.  Allocating them per call
-# dominated conv overhead, so they are served from a per-process pool keyed
-# by (tag, shape, dtype) and reused across calls.  Conv calls run
-# sequentially within a process (the autograd engine is single-threaded;
-# sweep workers are separate processes), every call fills a scratch buffer
-# before reading it, and any array that outlives a call — the forward
-# output, the returned input gradient, anything saved in the ctx — is a
-# fresh allocation or copied out of the scratch space first.  In particular
-# the forward saves the *unpadded* input (alive in the graph anyway) and
-# the backward re-pads it into scratch, so no pooled buffer is ever
-# retained across timesteps.
+# under BPTT, backward), and the large temporaries each call needs have the
+# same shape at every timestep: the padded input, the im2col matrix
+# ``conv_cols`` (the backward re-lowers into it for the weight gradient,
+# next to ``conv_goT``, the transposed output gradient), the GEMM output,
+# the gradient columns, the padded gradient accumulator and MaxPool2d's
+# window mask.  They come from a per-process pool keyed by (tag, shape,
+# dtype).  Calls run sequentially within a process (the autograd engine is
+# single-threaded; sweep workers are separate processes), every call fills
+# a scratch buffer before reading it, and any array that outlives a call —
+# the forward output, the returned gradients, anything saved in the ctx —
+# is a fresh allocation or copied out of the scratch space first.  So no
+# pooled buffer is retained across timesteps: the forward saves only the
+# *unpadded* input (alive in the graph anyway), not its column matrix.
 # ---------------------------------------------------------------------- #
 _SCRATCH: Dict[Tuple[str, Tuple[int, ...], str], np.ndarray] = {}
 
@@ -139,14 +138,20 @@ class Conv2d(Function):
         x, weight, has_bias, stride, padding = ctx.saved
         xp = _padded_input(x, padding)
         c_out, c_in, kh, kw = weight.shape
-        n, _, hp, wp = xp.shape
         go = np.asarray(grad_output)
-        _, _, oh, ow = go.shape
-
+        n, _, oh, ow = go.shape
+        # Weight gradient (C_out, N·OH·OW) @ (N·OH·OW, C·KH·KW): both operands
+        # are the C-contiguous copies np.tensordot would build, made in pooled
+        # scratch, so the GEMM and its result are bit-identical to tensordot's.
+        cols_mat = _scratch("conv_cols", (n * oh * ow, c_in * kh * kw), x.dtype)
         cols = _im2col(xp, kh, kw, stride)
-        # Weight gradient: correlate input columns with the output gradient.
-        # (N, C, KH, KW, OH, OW) x (N, C_out, OH, OW) -> (C_out, C, KH, KW)
-        grad_w = np.tensordot(go, cols, axes=([0, 2, 3], [0, 4, 5]))
+        np.copyto(cols_mat.reshape(n, oh, ow, c_in, kh, kw), cols.transpose(0, 4, 5, 1, 2, 3))
+        go_t = _scratch("conv_goT", (c_out, n * oh * ow), go.dtype)
+        np.copyto(go_t.reshape(c_out, n, oh, ow), go.transpose(1, 0, 2, 3))
+        grad_w = np.dot(go_t, cols_mat).reshape(weight.shape)
+        grad_b = go.sum(axis=(0, 2, 3)) if has_bias else None
+        if not ctx.needs_input_grad[0]:
+            return None, grad_w, grad_b, None, None
 
         # Input gradient: scatter the weighted output gradient back through
         # the column lowering.  (N, C_out, OH, OW) x (C_out, C, KH, KW) ->
@@ -172,54 +177,45 @@ class Conv2d(Function):
             grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w].copy()
         else:
             grad_x = grad_xp.copy()
-        grad_b = go.sum(axis=(0, 2, 3)) if has_bias else None
         return grad_x, grad_w, grad_b, None, None
 
 
 class MaxPool2d(Function):
     """Non-overlapping max pooling (kernel == stride), as used in the paper.
 
-    The backward scatter routes each output gradient to the *first* maximum
-    in its window (row-major scan order, matching PyTorch's argmax
-    convention).  On tie-free inputs the gradient is identical to the old
-    tie-splitting mask; on ties — ubiquitous for binary spike maps, where
-    every firing pixel in a window holds the same 1.0 — the whole gradient
-    now goes to one winner instead of being divided among the tied maxima.
-    The argmax-index mask is one uint8 index per *output* element, replacing
-    a float mask plus a sum/divide over the full *input*, which made mask
-    construction cost more than the max itself.
+    Both passes work on the k² strided window views ``x[:, :, i::k, j::k]``
+    and save one uint8 offset per output.  The running max is replaced only
+    where an offset is strictly greater, so the *first* maximum in row-major
+    order wins (``argmax``'s rule on NaN-free input, signed zeros included);
+    on ties, which binary spike maps are full of, it gets the whole gradient.
     """
 
     @staticmethod
     def forward(ctx: Context, x: np.ndarray, kernel: int = 2) -> np.ndarray:
-        n, c, h, w = x.shape
-        oh, ow = h // kernel, w // kernel
-        trimmed = x[:, :, : oh * kernel, : ow * kernel]
-        windows = trimmed.reshape(n, c, oh, kernel, ow, kernel).transpose(0, 1, 2, 4, 3, 5)
-        flat = windows.reshape(n, c, oh, ow, kernel * kernel)
-        idx = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-        idx_dtype = np.uint8 if kernel * kernel <= 255 else np.intp
-        ctx.save_for_backward(idx.astype(idx_dtype, copy=False), x.shape, kernel)
+        oh, ow = x.shape[2] // kernel, x.shape[3] // kernel
+        out = x[:, :, : oh * kernel : kernel, : ow * kernel : kernel].copy()
+        idx = np.zeros(out.shape, dtype=np.uint8 if kernel * kernel <= 255 else np.intp)
+        wins = _scratch("pool_mask", out.shape, np.bool_)
+        for k in range(1, kernel * kernel):
+            i, j = divmod(k, kernel)
+            view = x[:, :, i : oh * kernel : kernel, j : ow * kernel : kernel]
+            np.greater(view, out, out=wins)
+            np.copyto(out, view, where=wins)
+            np.copyto(idx, k, where=wins)
+        ctx.save_for_backward(idx, x.shape, kernel)
         return out
 
     @staticmethod
     def backward(ctx: Context, grad_output: np.ndarray):
         idx, x_shape, kernel = ctx.saved
-        n, c, h, w = x_shape
-        oh, ow = h // kernel, w // kernel
+        oh, ow = idx.shape[2], idx.shape[3]
         go = np.asarray(grad_output)
-        flat = np.zeros((n, c, oh, ow, kernel * kernel), dtype=go.dtype)
-        np.put_along_axis(flat, idx[..., None].astype(np.intp, copy=False), go[..., None], axis=-1)
-        grad_trimmed = (
-            flat.reshape(n, c, oh, ow, kernel, kernel)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, oh * kernel, ow * kernel)
-        )
-        if oh * kernel == h and ow * kernel == w:
-            return grad_trimmed, None
-        grad = np.zeros(x_shape, dtype=grad_trimmed.dtype)
-        grad[:, :, : oh * kernel, : ow * kernel] = grad_trimmed
+        grad = np.zeros(x_shape, dtype=go.dtype)
+        hits = _scratch("pool_mask", idx.shape, np.bool_)
+        for k in range(kernel * kernel):
+            i, j = divmod(k, kernel)
+            np.equal(idx, k, out=hits)
+            np.copyto(grad[:, :, i : oh * kernel : kernel, j : ow * kernel : kernel], go, where=hits)
         return grad, None
 
 

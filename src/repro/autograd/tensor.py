@@ -182,6 +182,7 @@ class Tensor:
             topo.append(t)
 
         visit(self)
+        del visit  # a self-referencing closure: drop it so the graph frees by refcount
 
         grads = {id(self): grad}
         for t in reversed(topo):

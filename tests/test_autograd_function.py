@@ -69,6 +69,43 @@ class TestFunctionApply:
         y = Double.apply(x, 4.0)
         assert y._node.inputs[1] is None
 
+    def test_needs_input_grad_flags_one_per_argument(self):
+        leaf = Tensor([1.0], requires_grad=True)
+        interior = Double.apply(leaf)
+        data = Tensor([1.0])
+        # A tensor needs a gradient if it requires grad or carries a graph
+        # node; plain data tensors and non-tensor arguments do not.
+        assert Double.apply(leaf, 4.0)._node.ctx.needs_input_grad == (True, False)
+        assert Double.apply(interior)._node.ctx.needs_input_grad == (True,)
+        seen = []
+
+        class Spy(Double):
+            @staticmethod
+            def forward(ctx, a, factor=2.0):
+                seen.append(ctx.needs_input_grad)
+                return a * factor
+
+        Spy.apply(data, 4.0)
+        assert seen == [(False, False)]
+
+    def test_needs_input_grad_all_false_under_no_grad(self):
+        from repro.autograd import no_grad
+
+        seen = []
+
+        class Spy(Function):
+            @staticmethod
+            def forward(ctx, a, b, scale):
+                seen.append(ctx.needs_input_grad)
+                return a * b * scale
+
+        leaf = Tensor([1.0], requires_grad=True)
+        interior = Double.apply(leaf)
+        with no_grad():
+            out = Spy.apply(leaf, interior, 2.0)
+        assert seen == [(False, False, False)]
+        assert out._node is None and out.requires_grad is False
+
     def test_base_function_is_abstract(self):
         with pytest.raises(NotImplementedError):
             Function.forward(Context(), None)

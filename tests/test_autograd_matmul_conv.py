@@ -189,3 +189,194 @@ class TestPooling:
         # The trimmed last row/column receives zero gradient.
         assert np.allclose(x.grad[:, :, 4, :], 0.0)
         assert np.allclose(x.grad[:, :, :, 4], 0.0)
+
+
+# ---------------------------------------------------------------------- #
+# Golden references: frozen copies of the kernels the strided MaxPool2d and
+# the single-lowering Conv2d.backward replaced (argmax pooling, tensordot
+# weight gradient).  The live kernels must match them bit for bit, which is
+# why TRAINING_CODE_VERSION did not change with the rewrite.
+# ---------------------------------------------------------------------- #
+def _ref_maxpool_forward(ctx, x, kernel=2):
+    n, c, h, w = x.shape
+    oh, ow = h // kernel, w // kernel
+    trimmed = x[:, :, : oh * kernel, : ow * kernel]
+    windows = trimmed.reshape(n, c, oh, kernel, ow, kernel).transpose(0, 1, 2, 4, 3, 5)
+    flat = windows.reshape(n, c, oh, ow, kernel * kernel)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    idx_dtype = np.uint8 if kernel * kernel <= 255 else np.intp
+    ctx.save_for_backward(idx.astype(idx_dtype, copy=False), x.shape, kernel)
+    return out
+
+
+def _ref_maxpool_backward(ctx, grad_output):
+    idx, x_shape, kernel = ctx.saved
+    n, c, h, w = x_shape
+    oh, ow = h // kernel, w // kernel
+    go = np.asarray(grad_output)
+    flat = np.zeros((n, c, oh, ow, kernel * kernel), dtype=go.dtype)
+    np.put_along_axis(flat, idx[..., None].astype(np.intp, copy=False), go[..., None], axis=-1)
+    grad_trimmed = (
+        flat.reshape(n, c, oh, ow, kernel, kernel).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh * kernel, ow * kernel)
+    )
+    if oh * kernel == h and ow * kernel == w:
+        return grad_trimmed, None
+    grad = np.zeros(x_shape, dtype=grad_trimmed.dtype)
+    grad[:, :, : oh * kernel, : ow * kernel] = grad_trimmed
+    return grad, None
+
+
+def _ref_conv_backward(ctx, grad_output):
+    from numpy.lib.stride_tricks import as_strided
+
+    x, weight, has_bias, stride, padding = ctx.saved
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    c_out, c_in, kh, kw = weight.shape
+    go = np.asarray(grad_output)
+    n, _, oh, ow = go.shape
+    sn, sc, sh, sw = xp.strides
+    cols = as_strided(xp, shape=(n, c_in, kh, kw, oh, ow), strides=(sn, sc, sh, sw, sh * stride, sw * stride))
+    grad_w = np.tensordot(go, cols, axes=([0, 2, 3], [0, 4, 5]))
+    go_mat = np.ascontiguousarray(go.transpose(0, 2, 3, 1)).reshape(n * oh * ow, c_out)
+    grad_cols = np.matmul(go_mat, weight.reshape(c_out, c_in * kh * kw)).reshape(n, oh, ow, c_in, kh, kw)
+    grad_xp = np.zeros(xp.shape, dtype=go.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            grad_xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += grad_cols[
+                :, :, :, :, i, j
+            ].transpose(0, 3, 1, 2)
+    grad_x = grad_xp[:, :, padding : padding + x.shape[2], padding : padding + x.shape[3]].copy()
+    grad_b = go.sum(axis=(0, 2, 3)) if has_bias else None
+    return grad_x, grad_w, grad_b, None, None
+
+
+def assert_bits_equal(actual, expected):
+    """Same dtype, shape and bit pattern (so -0.0 differs from +0.0)."""
+    actual, expected = np.ascontiguousarray(actual), np.ascontiguousarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    kind = f"u{actual.itemsize}"
+    np.testing.assert_array_equal(actual.view(kind), expected.view(kind))
+
+
+def _kernel_input(kind, shape, dtype, rng):
+    if kind == "spikes":  # binary maps: windows full of tied 1.0s and 0.0s
+        return (rng.random(shape) < 0.3).astype(dtype)
+    if kind == "signed_zeros":  # -0.0/+0.0 ties compare equal, bits differ
+        return rng.choice(np.array([-0.0, 0.0, -1.0], dtype=dtype), size=shape)
+    return rng.standard_normal(shape).astype(dtype)
+
+
+def _grad_with_signed_zeros(shape, dtype, rng):
+    go = rng.standard_normal(shape).astype(dtype)
+    go[rng.random(shape) < 0.2] = -0.0
+    return go
+
+
+class TestGoldenKernels:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["spikes", "signed_zeros", "normal"])
+    @pytest.mark.parametrize("kernel,hw", [(2, (8, 8)), (2, (7, 9)), (3, (9, 9)), (3, (8, 10))])
+    def test_maxpool_matches_argmax_reference(self, dtype, kind, kernel, hw):
+        from repro.autograd.function import Context
+        from repro.autograd.ops_conv import MaxPool2d
+
+        rng = np.random.default_rng(kernel * 100 + hw[0] * 10 + hw[1])
+        x = _kernel_input(kind, (3, 4) + hw, dtype, rng)
+        ctx, ref_ctx = Context(), Context()
+        out = MaxPool2d.forward(ctx, x, kernel)
+        ref = _ref_maxpool_forward(ref_ctx, x, kernel)
+        assert_bits_equal(out, ref)
+        assert_bits_equal(ctx.saved[0], ref_ctx.saved[0])
+        go = _grad_with_signed_zeros(out.shape, dtype, rng)
+        grad, _ = MaxPool2d.backward(ctx, go)
+        ref_grad, _ = _ref_maxpool_backward(ref_ctx, go)
+        assert_bits_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["spikes", "normal"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_conv_backward_matches_tensordot_reference(self, dtype, kind, stride, padding, with_bias):
+        from repro.autograd.function import Context
+        from repro.autograd.ops_conv import Conv2d
+
+        rng = np.random.default_rng(500 + stride * 10 + padding * 2 + with_bias)
+        x = _kernel_input(kind, (3, 4, 9, 8), dtype, rng)
+        w = rng.standard_normal((5, 4, 3, 3)).astype(dtype)
+        b = rng.standard_normal(5).astype(dtype) if with_bias else None
+        ctx = Context()
+        ctx.needs_input_grad = (True, True, with_bias, False, False)
+        out = Conv2d.forward(ctx, x, w, b, stride, padding)
+        go = _grad_with_signed_zeros(out.shape, dtype, rng)
+        ref = _ref_conv_backward(ctx, go)
+        got = Conv2d.backward(ctx, go)
+        for g, r in zip(got[:2], ref[:2]):
+            assert_bits_equal(g, r)
+        if with_bias:
+            assert_bits_equal(got[2], ref[2])
+        else:
+            assert got[2] is None
+        # Without an input gradient the weight and bias gradients are unchanged.
+        ctx.needs_input_grad = (False, True, with_bias, False, False)
+        skipped = Conv2d.backward(ctx, go)
+        assert skipped[0] is None
+        assert_bits_equal(skipped[1], ref[1])
+        if with_bias:
+            assert_bits_equal(skipped[2], ref[2])
+
+
+class TestConvNeedsInputGrad:
+    def _grads(self, x_requires_grad):
+        rng = np.random.default_rng(7)
+        x = Tensor((rng.random((2, 3, 6, 6)) < 0.3).astype(np.float32), requires_grad=x_requires_grad)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal(4).astype(np.float32), requires_grad=True)
+        out = x.conv2d(w, b, 1, 1)
+        node = out._node
+        (out * out).sum().backward()
+        return node, x, w, b
+
+    def test_data_input_gets_no_gradient_and_engine_accepts_none(self):
+        node, x, w, b = self._grads(x_requires_grad=False)
+        assert node.ctx.needs_input_grad[:3] == (False, True, True)
+        assert x.grad is None
+        assert w.grad is not None and b.grad is not None
+
+    def test_weight_and_bias_grads_do_not_depend_on_input_requires_grad(self):
+        _, x_data, w_data, b_data = self._grads(x_requires_grad=False)
+        _, x_leaf, w_leaf, b_leaf = self._grads(x_requires_grad=True)
+        assert x_leaf.grad is not None
+        assert_bits_equal(w_data.grad, w_leaf.grad)
+        assert_bits_equal(b_data.grad, b_leaf.grad)
+
+
+class TestTrainingBitIdentity:
+    def test_train_model_identical_with_reference_kernels(self, monkeypatch):
+        # The whole smoke-scale training run — parameters, loss history and
+        # test accuracy — is unchanged when the frozen reference kernels are
+        # swapped in, so cached records stay valid under the same
+        # TRAINING_CODE_VERSION.
+        from repro.autograd import ops_conv
+        from repro.core.config import PAPER_DEFAULT, SCALE_PRESETS
+        from repro.core.experiment import train_model
+
+        config = PAPER_DEFAULT.with_overrides(scale=SCALE_PRESETS["smoke"])
+
+        def train():
+            model, _, _, training = train_model(config)
+            return [p.data.copy() for p in model.parameters()], training
+
+        new_params, new_training = train()
+        with monkeypatch.context() as m:
+            m.setattr(ops_conv.MaxPool2d, "forward", staticmethod(_ref_maxpool_forward))
+            m.setattr(ops_conv.MaxPool2d, "backward", staticmethod(_ref_maxpool_backward))
+            m.setattr(ops_conv.Conv2d, "backward", staticmethod(_ref_conv_backward))
+            ref_params, ref_training = train()
+        assert len(new_params) == len(ref_params)
+        for p, r in zip(new_params, ref_params):
+            assert_bits_equal(p, r)
+        assert new_training.history["train_loss"] == ref_training.history["train_loss"]
+        assert new_training.history["val_accuracy"] == ref_training.history["val_accuracy"]
+        assert new_training.final_val_accuracy == ref_training.final_val_accuracy

@@ -178,6 +178,24 @@ class TestBackwardBasics:
         y.backward()
         assert x.grad == pytest.approx([48.0])
 
+    def test_backward_leaves_no_reference_cycles(self):
+        # A finished graph must free by reference counting.  A cycle left by
+        # backward keeps every saved array of the graph alive until the
+        # cyclic collector runs, and training's peak memory then depends on
+        # when that happens.
+        import gc
+
+        gc.collect()
+        gc.disable()
+        try:
+            x = Tensor(np.ones((2, 3)), requires_grad=True)
+            a = x * 3.0
+            ((a * x).sum() + a.mean()).backward()
+            del a
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestOperatorSemantics:
     def test_radd_rsub_rmul_rdiv(self):
@@ -268,3 +286,4 @@ class TestFreeFunctions:
         y = x.broadcast_to((4, 3))
         y.sum().backward()
         assert np.allclose(x.grad, [[4.0, 4.0, 4.0]])
+
