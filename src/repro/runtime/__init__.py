@@ -10,7 +10,8 @@ analogue of the sparsity-aware accelerator:
 * :func:`compile_network` lowers a trained :class:`SpikingCNN` /
   :class:`SpikingMLP` (or any ``Sequential``-ordered spiking classifier)
   into a plan of fused kernels (:mod:`repro.runtime.kernels`): gather-based
-  sparse matmul for dense layers, im2col-cached sparse convolution, and a
+  sparse matmul for dense layers, the autograd conv forward with a
+  per-kernel staging buffer and a silent-frame shortcut, and a
   fused LIF step (charge + threshold + reset in one pass, no graph
   recording).
 * :class:`CompiledNetwork.run` executes the timestep loop on raw arrays

@@ -47,3 +47,12 @@ def make_tensor(rng: np.random.Generator, *shape, requires_grad: bool = True, dt
     from repro.autograd import Tensor
 
     return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=requires_grad)
+
+
+def assert_bits_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Same dtype, shape and bit pattern (so -0.0 differs from +0.0)."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    kind = f"u{actual.itemsize}"
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(actual).view(kind), np.ascontiguousarray(expected).view(kind)
+    )

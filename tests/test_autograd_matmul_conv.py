@@ -327,6 +327,64 @@ class TestGoldenKernels:
             assert_bits_equal(skipped[2], ref[2])
 
 
+def _ref_im2col_matrix(x, kh, kw, stride, padding):
+    # The NCHW lowering the channels-last im2col replaced: np.pad, the
+    # as_strided window view, one transposing copy into the column matrix.
+    from numpy.lib.stride_tricks import as_strided
+
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = xp.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sc, sh, sw = xp.strides
+    cols = as_strided(xp, shape=(n, c, kh, kw, oh, ow), strides=(sn, sc, sh, sw, sh * stride, sw * stride))
+    mat = np.empty((n * oh * ow, c * kh * kw), dtype=x.dtype)
+    np.copyto(mat.reshape(n, oh, ow, c, kh, kw), cols.transpose(0, 4, 5, 1, 2, 3))
+    return mat
+
+
+def _ref_col2im(cols, x_shape, kh, kw, stride, padding):
+    # The NCHW slice-add the channels-last col2im replaced.
+    n, c, h, w = x_shape
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    grad_cols = cols.reshape(n, oh, ow, c, kh, kw)
+    grad_xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            grad_xp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += grad_cols[
+                :, :, :, :, i, j
+            ].transpose(0, 3, 1, 2)
+    return grad_xp[:, :, padding : padding + h, padding : padding + w].copy()
+
+
+class TestGoldenLowering:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("channels", [1, 3, 32])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    def test_im2col_and_col2im_match_nchw_reference(self, dtype, channels, stride, padding):
+        from repro.autograd.ops_conv import col2im, im2col, staging_shape
+
+        rng = np.random.default_rng(600 + channels * 10 + stride * 3 + padding)
+        shape = (2, channels, 9, 7)
+        x = _kernel_input("normal", shape, dtype, rng)
+        x[rng.random(shape) < 0.2] = -0.0
+        # A stale staging buffer: the border must be re-zeroed, not trusted.
+        staging = np.full(staging_shape(shape, padding), np.nan, dtype=dtype)
+        cols = im2col(x, 3, 3, stride, padding, staging)
+        ref = _ref_im2col_matrix(x, 3, 3, stride, padding)
+        assert_bits_equal(cols, ref)
+        # Into a caller's buffer (the pooled-scratch path) as well.
+        out = np.full_like(ref, np.nan)
+        assert im2col(x, 3, 3, stride, padding, staging, out=out) is out
+        assert_bits_equal(out, ref)
+
+        grad_cols = _grad_with_signed_zeros(ref.shape, dtype, rng)
+        acc = np.full(staging_shape(shape, padding), np.nan, dtype=dtype)
+        grad_x = col2im(grad_cols, shape, 3, 3, stride, padding, acc)
+        assert grad_x.flags.c_contiguous
+        assert_bits_equal(grad_x, _ref_col2im(grad_cols, shape, 3, 3, stride, padding))
+
+
 class TestConvNeedsInputGrad:
     def _grads(self, x_requires_grad):
         rng = np.random.default_rng(7)

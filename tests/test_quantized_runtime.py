@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal
 
 from repro.core.network import SpikingCNN, SpikingMLP
 from repro.encoding import DeltaEncoder, DirectEncoder, LatencyEncoder, RateEncoder
@@ -145,6 +146,95 @@ class TestQuantizedPlans:
         assert pool.weight_bits == 16
         with pool.acquire() as plan:
             assert plan.precision == "int16"
+
+
+# Frozen copies of the quantized LIF steps before the reset subtract lost
+# its ``where=spikes`` mask; the live kernels must match them bit for bit.
+def _masked_lif_run(self, frame):
+    if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != self.mem_dtype:
+        self.mem = np.zeros(frame.shape, dtype=self.mem_dtype)
+    mem = self.mem
+    mem *= self.beta
+    np.rint(mem, out=mem)
+    mem += frame
+    spikes = mem > self.theta_int
+    np.subtract(mem, self.theta_int, out=mem, where=spikes)
+    return spikes.astype(np.float32)
+
+
+def _masked_adaptive_run(self, frame):
+    if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != self.mem_dtype:
+        self.mem = np.zeros(frame.shape, dtype=self.mem_dtype)
+        self.adaptation = np.zeros(frame.shape, dtype=self.mem_dtype)
+    mem = self.mem
+    mem *= self.beta
+    np.rint(mem, out=mem)
+    mem += frame
+    theta_eff = self.adaptation * self.step_int + self.theta_int
+    spikes = mem > theta_eff
+    np.subtract(mem, theta_eff, out=mem, where=spikes)
+    trace = self.adaptation
+    trace *= self.adaptation_decay
+    np.rint(trace, out=trace)
+    trace += spikes
+    return spikes.astype(np.float32)
+
+
+def _masked_synaptic_run(self, frame):
+    if self.mem is None or self.mem.shape != frame.shape or self.mem.dtype != self.mem_dtype:
+        self.mem = np.zeros(frame.shape, dtype=self.mem_dtype)
+        self.syn = np.zeros(frame.shape, dtype=self.mem_dtype)
+    syn = self.syn
+    syn *= self.alpha
+    np.rint(syn, out=syn)
+    syn += frame
+    mem = self.mem
+    mem *= self.beta
+    np.rint(mem, out=mem)
+    mem += syn
+    spikes = mem > self.theta_int
+    np.subtract(mem, self.theta_int, out=mem, where=spikes)
+    return spikes.astype(np.float32)
+
+
+class TestQuantizedLIFResetMatchesMaskedForm:
+    @pytest.mark.parametrize("carrier", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["lif", "adaptive", "synaptic"])
+    def test_unmasked_subtract_bit_identical(self, carrier, kind):
+        import types
+
+        from repro.runtime import QuantizedAdaptiveLIFKernel, QuantizedSynapticLIFKernel
+
+        def make():
+            if kind == "lif":
+                return QuantizedLIFKernel("lif", beta=0.4, threshold=3.0), _masked_lif_run
+            if kind == "adaptive":
+                kernel = QuantizedAdaptiveLIFKernel("lif", beta=0.4, threshold=3.0, adaptation_step=2.0)
+                return kernel, _masked_adaptive_run
+            return QuantizedSynapticLIFKernel("lif", alpha=0.4, beta=0.4, threshold=3.0), _masked_synaptic_run
+
+        live, _ = make()
+        ref, masked_run = make()
+        ref.run = types.MethodType(masked_run, ref)
+        for kernel in (live, ref):
+            kernel.prepare()
+            kernel.mem_dtype = np.dtype(carrier)
+        rng = np.random.default_rng(70)
+        states = ("mem", "adaptation", "syn")
+        negative_zeros = 0
+        for _ in range(12):
+            # Integer charges (carried in the upstream float32), -0.0 included:
+            # rint(0.4 * -1) is -0.0, and -0.0 + -0.0 keeps it in the membrane.
+            frame = rng.integers(-4, 6, size=(3, 4, 5, 5)).astype(np.float32)
+            frame[rng.random(frame.shape) < 0.3] = -0.0
+            spikes = live.run(frame)
+            assert_bits_equal(spikes, ref.run(frame))
+            assert 0 < spikes.sum() < spikes.size
+            for name in states:
+                if getattr(ref, name, None) is not None:
+                    assert_bits_equal(getattr(live, name), getattr(ref, name))
+            negative_zeros += int(np.sum((live.mem == 0) & np.signbit(live.mem)))
+        assert negative_zeros > 0
 
 
 class TestAccuracyGate:

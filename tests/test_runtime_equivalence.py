@@ -8,6 +8,7 @@ output counts must match the dense ``model.forward`` exactly.
 
 import numpy as np
 import pytest
+from conftest import assert_bits_equal
 
 from repro.autograd.tensor import Tensor, no_grad
 from repro.core.network import SpikingCNN, SpikingMLP
@@ -198,3 +199,78 @@ class TestRuntimeBehaviour:
         model = Sequential(Linear(4, 4), layer)
         with pytest.raises(RuntimeCompileError, match="learned beta"):
             compile_network(model)
+
+
+class TestConvKernelIsAutogradForward:
+    @pytest.mark.parametrize("precision", ["fp32", "fp64", "int8"])
+    def test_output_bit_identical_to_conv2d_forward(self, precision):
+        """Every carrier, silent/sparse/dense frames, across a batch-size change."""
+        from repro.autograd.function import Context
+        from repro.autograd.ops_conv import Conv2d
+        from repro.runtime import ConvKernel
+
+        model = SpikingCNN(image_size=8, conv_channels=(4, 6), hidden_units=16, seed=12)
+        plan = compile_network(model, precision=precision)
+        convs = [k for k in plan.kernels if isinstance(k, ConvKernel)]
+        assert len(convs) == 2
+        rng = np.random.default_rng(21)
+        for kernel in convs:
+            kernel.prepare()
+            c_in = kernel.weight.shape[1]
+            for batch in (3, 5, 3):
+                for density in (0.0, 0.02, 0.3):
+                    frame = (rng.random((batch, c_in, 7, 9)) < density).astype(np.float32)
+                    out = kernel.run(frame)
+                    x = frame.astype(kernel.weight.dtype)
+                    ref = Conv2d.forward(
+                        Context(), x, kernel.weight, kernel.bias, kernel.stride, kernel.padding
+                    )
+                    assert out.flags.c_contiguous
+                    assert_bits_equal(out, ref)
+
+
+class TestConcurrentPlans:
+    @pytest.mark.parametrize("precision", ["fp32", "int8"])
+    def test_two_plans_on_two_threads_match_serial_runs(self, precision):
+        """Plans of one model hold no shared scratch: concurrent runs equal serial ones."""
+        import sys
+        import threading
+
+        model = SpikingCNN(image_size=16, conv_channels=(8, 8), hidden_units=16, threshold=0.3, seed=5)
+        model.eval()
+        plans = [compile_network(model, precision=precision) for _ in range(2)]
+        inputs = [
+            make_spikes((4, 3, 16, 16), density, num_steps=6, seed=30 + i) for i, density in enumerate((0.1, 0.4))
+        ]
+
+        def run(i):
+            result = plans[i].run(inputs[i], collect_spike_trains=True)
+            return result.counts.copy(), {name: train.copy() for name, train in result.spike_trains.items()}
+
+        serial = [run(i) for i in range(2)]
+        assert all(counts.any() for counts, _ in serial)
+        results = [[], []]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait(timeout=60)
+            for _ in range(8):
+                results[i].append(run(i))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, (counts, trains) in enumerate(serial):
+            assert len(results[i]) == 8
+            for got_counts, got_trains in results[i]:
+                assert np.array_equal(got_counts, counts)
+                for name, train in trains.items():
+                    assert np.array_equal(got_trains[name], train), f"spike train differs in {name}"
