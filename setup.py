@@ -1,4 +1,9 @@
-"""Setuptools entry point (kept for legacy editable installs without the wheel package)."""
-from setuptools import setup
+"""Setuptools entry point: ``python -m pip install -e .`` installs ``repro`` from ``src/``."""
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+)

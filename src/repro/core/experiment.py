@@ -160,11 +160,15 @@ def evaluate_trained_model(
     encoder: Encoder,
     test_loader: DataLoader,
     accelerator: Optional[SparsityAwareAccelerator] = None,
-    accuracy: Optional[float] = None,
     profile_batches: Optional[int] = 4,
     use_runtime: bool = True,
 ) -> Tuple[SparsityProfile, HardwareReport]:
-    """Profile a trained model and evaluate it on the hardware model.
+    """Score, profile and map a trained model to the hardware model.
+
+    This is a cell's one test evaluation.  Through the runtime, test
+    accuracy over the whole loader (``HardwareReport.accuracy``) and the
+    sparsity profile over its first ``profile_batches`` batches come from
+    the same pass; the dense fallback makes two.
 
     Parameters
     ----------
@@ -172,8 +176,6 @@ def evaluate_trained_model(
         The trained model and its evaluation data.
     accelerator:
         Hardware platform model (default: the paper's sparsity-aware one).
-    accuracy:
-        Pre-computed test accuracy; measured here if omitted.
     profile_batches:
         Number of test batches used for sparsity profiling.
     use_runtime:
@@ -210,24 +212,13 @@ def evaluate_trained_model(
         from repro.runtime import evaluate_with_runtime
 
         model.eval()
-        if accuracy is None:
-            # Single sweep: accuracy over the whole loader, activity over
-            # the first `profile_batches` batches.
-            accuracy, activity = evaluate_with_runtime(
-                model, encoder, test_loader, profile_batches=profile_batches, compiled=compiled
-            )
-        else:
-            _, activity = evaluate_with_runtime(
-                model, encoder, test_loader, max_batches=profile_batches, compiled=compiled
-            )
+        accuracy, activity = evaluate_with_runtime(
+            model, encoder, test_loader, profile_batches=profile_batches, compiled=compiled
+        )
         profile = activity.to_sparsity_profile()
     else:
-        if accuracy is None:
-            from repro.training.trainer import Trainer
-            from repro.training.optim import Adam
-
-            probe = Trainer(model, encoder, Adam(model.parameters(), lr=1e-3))
-            accuracy = probe.evaluate(test_loader)["accuracy"]
+        probe = Trainer(model, encoder, Adam(model.parameters(), lr=1e-3))
+        accuracy = probe.evaluate(test_loader)["accuracy"]
         profile = profile_sparsity(model, encoder, test_loader, max_batches=profile_batches)
     workload = build_workload(model, profile)
     report = evaluate_on_hardware(workload, accel, accuracy)
@@ -252,7 +243,7 @@ def train_model(
     optimizer = Adam(model.parameters(), lr=config.learning_rate)
     scheduler = CosineAnnealingLR(optimizer, t_max=config.scale.epochs)
     trainer = Trainer(model, encoder, optimizer, loss_fn=make_loss(config), scheduler=scheduler)
-    training = trainer.fit(train_loader, val_loader=test_loader, epochs=config.scale.epochs, verbose=verbose)
+    training = trainer.fit(train_loader, epochs=config.scale.epochs, verbose=verbose)
     return model, encoder, test_loader, training
 
 
@@ -266,17 +257,17 @@ def run_experiment(
 
     This is the unit of work repeated by every sweep: build the dataset,
     encoder and network from ``config``, train with Adam + cosine annealing,
-    measure test accuracy, profile firing rates (through the event-driven
-    runtime by default), and run the hardware model.
+    then in one pass over the test split measure test accuracy and profile
+    firing rates (through the event-driven runtime by default), and run the
+    hardware model.
     """
     model, encoder, test_loader, training = train_model(config, verbose=verbose)
-    accuracy = training.final_val_accuracy
     profile, hardware = evaluate_trained_model(
-        model, encoder, test_loader, accelerator=accelerator, accuracy=accuracy, use_runtime=use_runtime
+        model, encoder, test_loader, accelerator=accelerator, use_runtime=use_runtime
     )
     return ExperimentRecord(
         config=config,
-        accuracy=accuracy,
+        accuracy=hardware.accuracy,
         training=training,
         sparsity_profile=profile,
         hardware=hardware,

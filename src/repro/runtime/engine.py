@@ -547,7 +547,6 @@ def evaluate_with_runtime(
     model: Module,
     encoder,
     loader,
-    max_batches: Optional[int] = None,
     profile_batches: Optional[int] = None,
     compiled: Optional[CompiledNetwork] = None,
 ) -> Tuple[float, RuntimeActivity]:
@@ -562,12 +561,10 @@ def evaluate_with_runtime(
     ----------
     model, encoder, loader:
         Trained model, its input encoder, and the data to evaluate on.
-    max_batches:
-        Optional cap on batches used for *accuracy* (default: all).
     profile_batches:
         Optional cap on batches contributing to the *activity report*
-        (default: same batches as accuracy).  Mirrors the dense pipeline's
-        ``profile_batches`` cost control.
+        (default: every batch).  Accuracy always covers the whole loader.
+        Mirrors the dense pipeline's ``profile_batches`` cost control.
     compiled:
         Reuse an existing compiled plan instead of compiling ``model``.
     """
@@ -588,8 +585,6 @@ def evaluate_with_runtime(
         if record and result.activity is not None:
             activity.merge(result.activity)
         batches += 1
-        if max_batches is not None and batches >= max_batches:
-            break
     if total == 0:
         raise ValueError("loader yielded no samples to evaluate")
     return correct / total, activity

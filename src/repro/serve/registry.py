@@ -475,16 +475,15 @@ def train_and_register(
     ``registry.load(name)`` yields it (checkpoint round-trip included).
     """
     model, encoder, test_loader, training = train_model(config, verbose=verbose)
-    accuracy = training.final_val_accuracy
     _, hardware = evaluate_trained_model(
-        model, encoder, test_loader, accelerator=accelerator, accuracy=accuracy, use_runtime=use_runtime
+        model, encoder, test_loader, accelerator=accelerator, use_runtime=use_runtime
     )
     registry.save(
         name,
         model,
         encoder,
         config=config,
-        accuracy=accuracy,
+        accuracy=hardware.accuracy,
         hardware=hardware,
         metadata={"epochs_run": training.epochs_run},
     )

@@ -16,7 +16,6 @@ from repro.training.loss import CrossEntropySpikeCount, MSESpikeCount, cross_ent
 from repro.training.optim import SGD, Adam, Optimizer
 from repro.training.schedulers import ConstantLR, CosineAnnealingLR, LRScheduler, StepLR
 from repro.training.metrics import accuracy, confusion_matrix, top_k_accuracy
-from repro.training.callbacks import Callback, EarlyStopping, HistoryRecorder
 from repro.training.trainer import Trainer, TrainingResult
 
 __all__ = [
@@ -37,9 +36,6 @@ __all__ = [
     "accuracy",
     "top_k_accuracy",
     "confusion_matrix",
-    "Callback",
-    "EarlyStopping",
-    "HistoryRecorder",
     "Trainer",
     "TrainingResult",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from repro.autograd.tensor import Tensor, no_grad
 from repro.data.dataloader import DataLoader
 from repro.encoding.base import Encoder
 from repro.nn.module import Module
-from repro.training.callbacks import Callback, HistoryRecorder
 from repro.training.loss import CrossEntropySpikeCount
 from repro.training.metrics import accuracy
 from repro.training.optim import Optimizer
@@ -26,21 +25,15 @@ class TrainingResult:
     Attributes
     ----------
     history:
-        Per-epoch metrics (``train_loss``, ``train_accuracy``,
-        ``val_accuracy``, ``lr``, ``epoch_seconds``).
-    best_val_accuracy:
-        Best validation accuracy observed over all epochs.
-    final_val_accuracy:
-        Validation accuracy after the last epoch.
+        Per-epoch metrics (``train_loss``, ``train_accuracy``, ``lr``,
+        ``epoch_seconds``).
     epochs_run:
-        Number of epochs actually executed (early stopping may cut it short).
+        Number of epochs executed.
     wall_time_seconds:
         Total wall-clock training time.
     """
 
     history: Dict[str, List[float]] = field(default_factory=dict)
-    best_val_accuracy: float = 0.0
-    final_val_accuracy: float = 0.0
     epochs_run: int = 0
     wall_time_seconds: float = 0.0
 
@@ -65,8 +58,6 @@ class Trainer:
         Loss on output spike counts (default cross-entropy on counts).
     scheduler:
         Optional learning-rate scheduler stepped once per epoch.
-    callbacks:
-        Optional list of :class:`~repro.training.callbacks.Callback`.
     """
 
     def __init__(
@@ -76,16 +67,12 @@ class Trainer:
         optimizer: Optimizer,
         loss_fn: Optional[Callable] = None,
         scheduler: Optional[LRScheduler] = None,
-        callbacks: Optional[Sequence[Callback]] = None,
     ) -> None:
         self.model = model
         self.encoder = encoder
         self.optimizer = optimizer
         self.loss_fn = loss_fn if loss_fn is not None else CrossEntropySpikeCount()
         self.scheduler = scheduler
-        self.callbacks: List[Callback] = list(callbacks) if callbacks else []
-        self._history = HistoryRecorder()
-        self.callbacks.append(self._history)
 
     # ------------------------------------------------------------------ #
     def train_batch(self, images: np.ndarray, labels: np.ndarray) -> Dict[str, float]:
@@ -98,6 +85,9 @@ class Trainer:
         self.optimizer.zero_grad()
         loss.backward()
         self.optimizer.step()
+        # The membrane state still holds this batch's autograd graph; drop
+        # it so a trained model does not pin one batch's graph in memory.
+        self.model.reset_spiking_state()
         batch_acc = accuracy(counts.data, labels)
         return {"loss": float(loss.item()), "accuracy": batch_acc}
 
@@ -123,27 +113,27 @@ class Trainer:
     def fit(
         self,
         train_loader: DataLoader,
-        val_loader: Optional[DataLoader] = None,
         epochs: int = 25,
         verbose: bool = False,
     ) -> TrainingResult:
         """Run the full training loop.
 
+        Only training data goes in: to score a held-out split, call
+        :meth:`evaluate` on it after ``fit``.
+
         Parameters
         ----------
-        train_loader, val_loader:
-            Training and optional validation data.
+        train_loader:
+            Training data.
         epochs:
-            Maximum number of epochs (the paper uses 25).
+            Number of epochs (the paper uses 25).
         verbose:
             Print a one-line summary per epoch.
         """
         if epochs <= 0:
             raise ValueError("epochs must be positive")
         start = time.perf_counter()
-        best_val = 0.0
-        final_val = 0.0
-        epochs_run = 0
+        history: Dict[str, List[float]] = {}
 
         for epoch in range(epochs):
             epoch_start = time.perf_counter()
@@ -158,27 +148,16 @@ class Trainer:
                 "lr": self.optimizer.lr,
                 "epoch_seconds": time.perf_counter() - epoch_start,
             }
-            if val_loader is not None:
-                val_stats = self.evaluate(val_loader)
-                logs["val_accuracy"] = val_stats["accuracy"]
-                logs["val_loss"] = val_stats["loss"]
-                final_val = val_stats["accuracy"]
-                best_val = max(best_val, final_val)
             if self.scheduler is not None:
                 self.scheduler.step()
-            epochs_run = epoch + 1
-            for callback in self.callbacks:
-                callback.on_epoch_end(epoch, logs)
+            for key, value in logs.items():
+                history.setdefault(key, []).append(float(value))
             if verbose:
                 summary = ", ".join(f"{k}={v:.4f}" for k, v in logs.items())
                 print(f"epoch {epoch + 1}/{epochs}: {summary}")
-            if any(callback.should_stop() for callback in self.callbacks):
-                break
 
         return TrainingResult(
-            history=dict(self._history.history),
-            best_val_accuracy=best_val,
-            final_val_accuracy=final_val,
-            epochs_run=epochs_run,
+            history=history,
+            epochs_run=epochs,
             wall_time_seconds=time.perf_counter() - start,
         )

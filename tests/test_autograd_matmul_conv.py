@@ -419,22 +419,23 @@ class TestTrainingBitIdentity:
         from repro.autograd import ops_conv
         from repro.core.config import PAPER_DEFAULT, SCALE_PRESETS
         from repro.core.experiment import train_model
+        from repro.training import Adam, Trainer
 
         config = PAPER_DEFAULT.with_overrides(scale=SCALE_PRESETS["smoke"])
 
         def train():
-            model, _, _, training = train_model(config)
-            return [p.data.copy() for p in model.parameters()], training
+            model, encoder, test_loader, training = train_model(config)
+            scored = Trainer(model, encoder, Adam(model.parameters(), lr=1e-3)).evaluate(test_loader)
+            return [p.data.copy() for p in model.parameters()], training, scored
 
-        new_params, new_training = train()
+        new_params, new_training, new_scored = train()
         with monkeypatch.context() as m:
             m.setattr(ops_conv.MaxPool2d, "forward", staticmethod(_ref_maxpool_forward))
             m.setattr(ops_conv.MaxPool2d, "backward", staticmethod(_ref_maxpool_backward))
             m.setattr(ops_conv.Conv2d, "backward", staticmethod(_ref_conv_backward))
-            ref_params, ref_training = train()
+            ref_params, ref_training, ref_scored = train()
         assert len(new_params) == len(ref_params)
         for p, r in zip(new_params, ref_params):
             assert_bits_equal(p, r)
         assert new_training.history["train_loss"] == ref_training.history["train_loss"]
-        assert new_training.history["val_accuracy"] == ref_training.history["val_accuracy"]
-        assert new_training.final_val_accuracy == ref_training.final_val_accuracy
+        assert new_scored == ref_scored

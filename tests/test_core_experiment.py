@@ -100,14 +100,6 @@ class TestRunExperiment:
 
 
 class TestEvaluateTrainedModel:
-    def test_reuses_given_accuracy(self, smoke_config):
-        model = make_model(smoke_config)
-        encoder = make_encoder(smoke_config)
-        _, test_loader = make_dataset(smoke_config)
-        profile, report = evaluate_trained_model(model, encoder, test_loader, accuracy=0.42)
-        assert report.accuracy == 0.42
-        assert profile.samples_profiled > 0
-
     def test_measures_accuracy_when_missing(self, smoke_config):
         model = make_model(smoke_config)
         encoder = make_encoder(smoke_config)
@@ -123,7 +115,7 @@ class TestEvaluateTrainedModel:
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeFallbackWarning)
-            evaluate_trained_model(model, encoder, test_loader, accuracy=0.5)
+            evaluate_trained_model(model, encoder, test_loader)
 
     def test_uncompilable_model_warns_once_and_matches_dense_path(self, smoke_config):
         """A RuntimeCompileError fallback must be loud and numerically harmless."""

@@ -1,4 +1,4 @@
-"""Unit tests for losses, optimizers, schedulers, metrics and callbacks."""
+"""Unit tests for losses, optimizers, schedulers and metrics."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.training import (
     ConstantLR,
     CosineAnnealingLR,
     CrossEntropySpikeCount,
-    EarlyStopping,
-    HistoryRecorder,
     MSESpikeCount,
     SGD,
     StepLR,
@@ -210,44 +208,3 @@ class TestMetrics:
         cm = confusion_matrix(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2]), num_classes=3)
         assert cm[0, 0] == 1 and cm[1, 1] == 1 and cm[2, 1] == 1 and cm[2, 2] == 1
         assert cm.sum() == 4
-
-
-class TestCallbacks:
-    def test_history_recorder_accumulates(self):
-        rec = HistoryRecorder()
-        rec.on_epoch_end(0, {"loss": 1.0})
-        rec.on_epoch_end(1, {"loss": 0.5})
-        assert rec.history["loss"] == [1.0, 0.5]
-        assert rec.last("loss") == 0.5
-        assert rec.last("missing") is None
-
-    def test_early_stopping_triggers_after_patience(self):
-        stopper = EarlyStopping(monitor="val", mode="max", patience=1)
-        stopper.on_epoch_end(0, {"val": 0.5})
-        stopper.on_epoch_end(1, {"val": 0.4})
-        assert not stopper.should_stop()
-        stopper.on_epoch_end(2, {"val": 0.4})
-        assert stopper.should_stop()
-
-    def test_early_stopping_resets_on_improvement(self):
-        stopper = EarlyStopping(monitor="val", mode="max", patience=1)
-        stopper.on_epoch_end(0, {"val": 0.5})
-        stopper.on_epoch_end(1, {"val": 0.4})
-        stopper.on_epoch_end(2, {"val": 0.6})
-        stopper.on_epoch_end(3, {"val": 0.5})
-        assert not stopper.should_stop()
-
-    def test_early_stopping_min_mode(self):
-        stopper = EarlyStopping(monitor="loss", mode="min", patience=0)
-        stopper.on_epoch_end(0, {"loss": 1.0})
-        stopper.on_epoch_end(1, {"loss": 2.0})
-        assert stopper.should_stop()
-
-    def test_early_stopping_ignores_missing_metric(self):
-        stopper = EarlyStopping(monitor="val", patience=0)
-        stopper.on_epoch_end(0, {"other": 1.0})
-        assert not stopper.should_stop()
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(mode="sideways")
